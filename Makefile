@@ -80,10 +80,13 @@ bench-gate:
 # and allocation-flat paths — arena-fed bank builds and the batched
 # field-update kernel in internal/sketch, session-reuse solves through
 # the facade — at -benchtime=1x so CI sees the counters without paying
-# a full benchmark run.
+# a full benchmark run, plus the AllocsPerRun guards on a warm
+# sparsifier builder cycle and a warm MiniOracle call.
 bench-allocs:
 	$(GO) test -run='^$$' -bench='BenchmarkBankBuildArena|BenchmarkOneSparseUpdate|BenchmarkBankUpdateBlock' -benchmem -benchtime=1x ./internal/sketch/
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./match/
+	$(GO) test -run='^TestDeferredBuilderCycleAllocs$$' -v ./internal/sparsify/
+	$(GO) test -run='^TestMiniOracleAllocs$$' -v ./internal/core/
 
 # Profile the two dominant experiments (EA, E14) so the next perf PR
 # starts from data; see "Profile snapshot" in EXPERIMENTS.md.

@@ -22,7 +22,7 @@ func TestCheckLP7Deterministic(t *testing.T) {
 	// the vertex-capacity check instead.
 	in := microInput{
 		edges:   []supportEdge{{u: 0, v: 1, k: 0, w: 1}},
-		zeta:    map[rowKey]float64{},
+		zeta:    nil,
 		rho:     1,
 		beta:    8,
 		eps:     0.25,
@@ -33,10 +33,10 @@ func TestCheckLP7Deterministic(t *testing.T) {
 	}
 	w := &lp7Witness{
 		y: []float64{10},
-		mu: map[rowKey]float64{
-			{0, 0}: 1e16,
-			{1, 0}: 1,
-			{2, 0}: -1e16,
+		mu: []rowVal{
+			{rowKey{0, 0}, 1e16},
+			{rowKey{1, 0}, 1},
+			{rowKey{2, 0}, -1e16},
 		},
 		beta: 8,
 	}

@@ -33,8 +33,8 @@ type supportEdge struct {
 // microInput bundles a MicroOracle invocation.
 type microInput struct {
 	edges   []supportEdge
-	zeta    map[rowKey]float64 // ζ_{i,k} (same scale as uˢ)
-	rho     float64            // the Lagrange multiplier ϱ
+	zeta    []rowVal // ζ_{i,k} (same scale as uˢ): ascending (v, k), distinct, k < nLevels
+	rho     float64  // the Lagrange multiplier ϱ
 	beta    float64
 	eps     float64
 	bOf     func(v int) int
@@ -48,6 +48,14 @@ type microInput struct {
 type rowKey struct {
 	v int32
 	k int
+}
+
+// rowVal is one value on a P_o row — ζ_{i,k} in a microInput, μ_{i,k}
+// in an LP7 witness. Lists of them are kept in ascending (v, k) order,
+// the canonical iteration order for float accumulations over rows.
+type rowVal struct {
+	rowKey
+	val float64
 }
 
 // microResult is the oracle's answer.
@@ -69,7 +77,7 @@ type microResult struct {
 // matching of weight >= (1-2ε)β within the support.
 type lp7Witness struct {
 	y     []float64 // parallel to microInput.edges
-	mu    map[rowKey]float64
+	mu    []rowVal  // positive entries only, ascending (v, k)
 	beta  float64
 	gamma float64
 }
@@ -81,56 +89,67 @@ func runMicroOracle(in microInput) microResult {
 	return runMicroOracleScratch(in, newOracleScratch())
 }
 
+// runMicroOracleScratch lays in.edges out on the scratch's row grid and
+// runs Algorithm 5 on it.
 func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
-	sc.beginMicro()
-	// Per-(i,k) incident support weight s_{i,k} = Σ_j uˢ_{ijk}.
-	s := sc.s
-	// Total weighted support (uˢ)ᵀc = Σ_k ŵ_k Σ_{E'_k} uˢ.
-	usC := 0.0
-	levelsInUse := sc.levelsInUse
-	for _, e := range in.edges {
-		s[rowKey{e.u, e.k}] += e.w
-		s[rowKey{e.v, e.k}] += e.w
-		usC += in.wHat(e.k) * e.w
-		levelsInUse[e.k] = true
+	sc.buildRows(in.edges, in.wHat, in.nLevels)
+	return microOnRows(in, sc)
+}
+
+// microOnRows is Algorithm 5 on the row structure sc already holds for
+// in.edges: runMiniOracle builds it once per support and shares it with
+// every MicroOracle call on that support. Every float accumulation
+// walks rows in ascending (v, k) order (sc.byCell, and in.zeta's own
+// order), so the oracle is a pure function of its input — the
+// determinism the parallel pipeline's bit-identical contract rests on.
+func microOnRows(in microInput, sc *oracleScratch) microResult {
+	rows, s := sc.rows, sc.sRow
+	nl := sc.nl
+	// ζ on the support rows. ζ rows with no support mass stay in
+	// in.zeta only: their d is <= 0, so they never join Pos.
+	zetaRow := resizeZeroed(sc.zetaRow, len(rows))
+	sc.zetaRow = zetaRow
+	for _, z := range in.zeta {
+		if ri := sc.rowOf(z.rowKey); ri >= 0 {
+			zetaRow[ri] = z.val
+		}
 	}
-	// Map iteration order is randomized in Go, and float addition is not
-	// associative: every sum over these maps walks keys in sorted order so
-	// the oracle is a pure function of its input — the determinism the
-	// parallel pipeline's bit-identical contract rests on.
-	zetaKeys := sortedRowKeysInto(sc.zetaKeys, in.zeta)
-	sc.zetaKeys = zetaKeys
-	sKeys := sortedRowKeysInto(sc.sKeys, s)
-	sc.sKeys = sKeys
-	// γ = (uˢ)ᵀc - 3ϱ Σ_{i,k} ŵ_k ζ_{i,k}.
-	gamma := usC
-	for _, rk := range zetaKeys {
-		gamma -= 3 * in.rho * in.wHat(rk.k) * in.zeta[rk]
+	// γ = (uˢ)ᵀc - 3ϱ Σ_{i,k} ŵ_k ζ_{i,k}, with s_{i,k} = Σ_j uˢ_{ijk}
+	// and (uˢ)ᵀc = Σ_k ŵ_k Σ_{E'_k} uˢ from the row structure.
+	gamma := sc.usC
+	for _, z := range in.zeta {
+		gamma -= 3 * in.rho * in.wHat(z.k) * z.val
 	}
 	res := microResult{gamma: gamma}
 	if gamma <= 0 {
 		// Step 1 note: x = 0 satisfies LagInner trivially.
 		return res
 	}
-	// d_{i,k} = s_{i,k} - 2ϱζ_{i,k}; Pos(i) = {k : d_{i,k} > 0}.
-	pos := sc.pos
-	posVerts := sc.posVerts
-	for _, rk := range sKeys {
-		d := s[rk] - 2*in.rho*in.zeta[rk]
+	// d_{i,k} = s_{i,k} - 2ϱζ_{i,k}; Pos(i) = {k : d_{i,k} > 0}. Rows
+	// come in (v, k) order, so each vertex's Pos entries are contiguous:
+	// Pos(posVerts[p]) = pos[posStart[p]:posStart[p+1]], ascending k.
+	dPos := resizeZeroed(sc.dPos, len(rows))
+	sc.dPos = dPos
+	pos, posVerts, posStart := sc.pos[:0], sc.posVerts[:0], sc.posStart[:0]
+	for _, ri := range sc.byCell {
+		rk := rows[ri]
+		d := s[ri] - 2*in.rho*zetaRow[ri]
 		if d > 0 {
-			if len(pos[rk.v]) == 0 {
+			dPos[ri] = true
+			if last := len(posVerts) - 1; last < 0 || posVerts[last] != rk.v {
 				posVerts = append(posVerts, rk.v)
-				pos[rk.v] = sc.posList()
+				posStart = append(posStart, int32(len(pos)))
 			}
-			pos[rk.v] = append(pos[rk.v], posEntry{rk.k, d})
+			pos = append(pos, posEntry{rk.k, d})
 		}
 	}
-	sc.posVerts = posVerts
-	// ζ rows with no support mass have d <= 0 and never join Pos.
+	posStart = append(posStart, int32(len(pos)))
+	sc.pos, sc.posVerts, sc.posStart = pos, posVerts, posStart
+	posOf := func(p int32) []posEntry { return pos[posStart[p]:posStart[p+1]] }
 	// Δ(i,ℓ) = Σ_{k∈Pos(i),k<=ℓ} ŵ_k d_{i,k} + Σ_{k∈Pos(i),k>ℓ} ŵ_ℓ d_{i,k}.
-	delta := func(i int32, l int) float64 {
+	delta := func(p int32, l int) float64 {
 		t := 0.0
-		for _, pe := range pos[i] {
+		for _, pe := range posOf(p) {
 			if pe.k <= l {
 				t += in.wHat(pe.k) * pe.d
 			} else {
@@ -139,34 +158,38 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		}
 		return t
 	}
-	// k*_i = largest ℓ with Δ(i,ℓ) > γ·b_i·ŵ_ℓ/β (-1 if none).
-	kstar := sc.kstar
+	// k*_i = largest ℓ with Δ(i,ℓ) > γ·b_i·ŵ_ℓ/β (-1 if none); kstar
+	// holds k*_i + 1 per vertex, 0 for a vertex that does not violate.
+	kstar := resizeZeroed(sc.kstar, sc.nv)
+	sc.kstar = kstar
 	gammaOverBeta := gamma / in.beta
-	var viol []int32
+	viol := sc.viol[:0] // indices into posVerts
 	gammaV := 0.0
-	for _, i := range posVerts {
+	for p, i := range posVerts {
 		ks := -1
 		for l := in.nLevels - 1; l >= 0; l-- {
-			if delta(i, l) > gammaOverBeta*float64(in.bOf(int(i)))*in.wHat(l) {
+			if delta(int32(p), l) > gammaOverBeta*float64(in.bOf(int(i)))*in.wHat(l) {
 				ks = l
 				break
 			}
 		}
 		if ks >= 0 {
-			kstar[i] = ks
-			viol = append(viol, i)
-			gammaV += delta(i, ks)
+			kstar[i] = int32(ks) + 1
+			viol = append(viol, int32(p))
+			gammaV += delta(int32(p), ks)
 		}
 	}
+	sc.viol = viol
 	// Case A (step 5): vertex violations pay. The answer container is
 	// lent from the scratch pool: the binary search in runMiniOracle
 	// holds several micro answers at once, and all of them die by the
 	// next MiniOracle call's reclaim.
 	if gammaV >= in.eps*gamma/24 {
 		res.answer.xEntries = sc.xents.getEmpty()
-		for _, i := range viol {
-			ks := kstar[i]
-			for _, pe := range pos[i] {
+		for _, p := range viol {
+			i := posVerts[p]
+			ks := int(kstar[i]) - 1
+			for _, pe := range posOf(p) {
 				var val float64
 				if pe.k > ks {
 					val = gamma * in.wHat(ks) / gammaV
@@ -179,30 +202,35 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		sc.xents.retain(res.answer.xEntries)
 		return res
 	}
-	// Step 9: raise ζ to ζ̄ on violating (i, k<=k*, k∈Pos).
-	zetaBar := func(i int32, k int) float64 {
-		if ks, ok := kstar[i]; ok && k <= ks {
-			for _, pe := range pos[i] {
-				if pe.k == k {
-					// ζ̄ = s_{i,k}/(2ϱ).
-					return s[rowKey{i, k}] / (2 * in.rho)
-				}
-			}
+	// Step 9: raise ζ to ζ̄ = s_{i,k}/(2ϱ) on violating (i, k<=k*,
+	// k∈Pos); γ′ (step 10) subtracts ζ̄ over the support rows, then ζ
+	// over the rows without support mass.
+	zbRow := resizeZeroed(sc.zbRow, len(rows))
+	sc.zbRow = zbRow
+	gammaP := sc.usC
+	for _, ri := range sc.byCell {
+		rk := rows[ri]
+		zb := zetaRow[ri]
+		if dPos[ri] && rk.k < int(kstar[rk.v]) {
+			zb = s[ri] / (2 * in.rho)
 		}
-		return in.zeta[rowKey{i, k}]
-	}
-	// γ′ (step 10).
-	gammaP := usC
-	zetaBarSums := sc.zetaBarSums // cache ζ̄ per touched row
-	for _, rk := range sKeys {
-		zb := zetaBar(rk.v, rk.k)
-		zetaBarSums[rk] = zb
+		zbRow[ri] = zb
 		gammaP -= 3 * in.rho * in.wHat(rk.k) * zb
 	}
-	for _, rk := range zetaKeys {
-		if _, ok := s[rk]; !ok {
-			gammaP -= 3 * in.rho * in.wHat(rk.k) * in.zeta[rk]
+	for _, z := range in.zeta {
+		if sc.rowOf(z.rowKey) < 0 {
+			gammaP -= 3 * in.rho * in.wHat(z.k) * z.val
 		}
+	}
+	// zbarSuffix is Σ_{k>=ℓ} ζ̄_{v,k} over v's support rows, ascending k.
+	zbarSuffix := func(v, l int) float64 {
+		zsum := 0.0
+		for _, ri := range sc.rowAt[v*nl+l : (v+1)*nl] {
+			if ri != 0 {
+				zsum += zbRow[ri-1]
+			}
+		}
+		return zsum
 	}
 	// Steps 11-14: per level ℓ, collect disjoint dense odd sets K(ℓ).
 	// Charges (proof of Lemma 16): q_ij(ℓ) = (1-ε/4)β/γ · uˢ (edges with
@@ -221,27 +249,18 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 		res.matchingWitness = true
 		return res
 	}
-	// Precompute per-vertex suffix ζ̄ sums and per-edge suffix inclusion.
-	maxV := int32(0)
-	for _, e := range in.edges {
-		if e.u > maxV {
-			maxV = e.u
-		}
-		if e.v > maxV {
-			maxV = e.v
-		}
-	}
-	nV := int(maxV) + 1
+	nV := sc.nv
 	// Only levels that actually carry support edges can yield distinct
 	// collections: for ℓ between two active levels the charges q(ℓ) are
 	// identical to those of the next active level up, so z_{U,ℓ} placed
-	// there covers the same constraints. Iterate active levels only.
-	activeDesc := sc.activeDesc
-	//lint:ordered key collection, sortDesc'd immediately below
-	for l := range levelsInUse {
-		activeDesc = append(activeDesc, l)
+	// there covers the same constraints. Iterate active levels only,
+	// highest first.
+	activeDesc := sc.activeDesc[:0]
+	for l := nl - 1; l >= 0; l-- {
+		if sc.inUse[l] {
+			activeDesc = append(activeDesc, l)
+		}
 	}
-	sortDesc(activeDesc)
 	sc.activeDesc = activeDesc
 	// The odd-set instance buffers live one level at a time: Collect
 	// returns fresh member copies, so nothing retained by perLevel
@@ -267,13 +286,7 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 			if bn[v] != 1 {
 				unit = false
 			}
-			zsum := 0.0
-			for k := l; k < in.nLevels; k++ {
-				if zb, ok := zetaBarSums[rowKey{int32(v), k}]; ok {
-					zsum += zb
-				}
-			}
-			inst.QHat[v] = float64(bn[v]) + 2*scaleQ*in.rho*zsum
+			inst.QHat[v] = float64(bn[v]) + 2*scaleQ*in.rho*zbarSuffix(v, l)
 		}
 		if !unit {
 			inst.BNorm = bn
@@ -294,9 +307,9 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 			inside := st.Internal / scaleQ
 			zpart := 0.0
 			for _, m := range st.Members {
-				for k := l; k < in.nLevels; k++ {
-					if zb, ok := zetaBarSums[rowKey{int32(m), k}]; ok {
-						zpart += zb
+				for _, ri := range sc.rowAt[m*nl+l : (m+1)*nl] {
+					if ri != 0 {
+						zpart += zbRow[ri-1]
 					}
 				}
 			}
@@ -331,41 +344,42 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 	// Part (i): nothing pays — the support certifies a large matching.
 	// Steps 20-21: lift ζ̄ to ζ̂ on the members of the collected sets and
 	// scale (uˢ, ϱζ̂) into the LP7 solution (y, μ); the driver's offline
-	// solve extracts the integral matching per Lemma 13.
+	// solve extracts the integral matching per Lemma 13. ζ̂ lives on a
+	// fresh (v, k) grid wide enough for every ζ row: ζ̄ on the support
+	// rows, ζ on the rows without support mass, 0 elsewhere.
 	res.matchingWitness = true
-	zetaHat := make(map[rowKey]float64, len(zetaBarSums))
-	//lint:ordered per-key copy, no cross-key accumulation
-	for rk, zb := range zetaBarSums {
-		zetaHat[rk] = zb
+	gridV := nV
+	for _, z := range in.zeta {
+		gridV = max(gridV, int(z.v)+1)
 	}
-	//lint:ordered per-key fill-in, no cross-key accumulation
-	for rk, z := range in.zeta {
-		if _, ok := zetaHat[rk]; !ok {
-			zetaHat[rk] = z
+	zetaHat := make([]float64, gridV*nl)
+	for ri, rk := range rows {
+		zetaHat[int(rk.v)*nl+rk.k] = zbRow[ri]
+	}
+	for _, z := range in.zeta {
+		if sc.rowOf(z.rowKey) < 0 {
+			zetaHat[int(z.v)*nl+z.k] = z.val
 		}
 	}
 	for _, ls := range perLevel {
 		for _, set := range ls.sets {
 			for _, m := range set.Members {
-				rk := rowKey{int32(m), ls.level}
-				zetaHat[rk] += gamma * float64(in.bOf(m)) / (2 * in.rho * in.beta)
+				zetaHat[m*nl+ls.level] += gamma * float64(in.bOf(m)) / (2 * in.rho * in.beta)
 			}
 		}
 	}
 	scaleY := (1 - in.eps/4) * in.beta / ((1 + in.eps/2) * gamma)
 	w := &lp7Witness{
 		y:     make([]float64, len(in.edges)),
-		mu:    make(map[rowKey]float64, len(zetaHat)),
 		beta:  in.beta,
 		gamma: gamma,
 	}
 	for i, e := range in.edges {
 		w.y[i] = scaleY * e.w
 	}
-	//lint:ordered per-key scale into w.mu, no cross-key accumulation
-	for rk, zh := range zetaHat {
+	for c, zh := range zetaHat {
 		if zh > 0 {
-			w.mu[rk] = scaleY * in.rho * zh
+			w.mu = append(w.mu, rowVal{rowKey{int32(c / nl), c % nl}, scaleY * in.rho * zh})
 		}
 	}
 	res.witness = w
@@ -378,16 +392,18 @@ func runMicroOracleScratch(in microInput, sc *oracleScratch) microResult {
 // violation as a non-empty string, or "".
 func checkLP7(in microInput, w *lp7Witness, tol float64) string {
 	// Objective: Σ_k ŵ_k (Σ y - 3 Σ_i μ_{i,k}) >= (1-ε)β. Like every
-	// float accumulation in this file, the sums walk map keys in sorted
-	// order so the verdict is bit-identical run to run — near-tolerance
-	// witnesses must not flip with Go's randomized map iteration.
-	muKeys := sortedRowKeys(w.mu)
+	// float accumulation in this file, the sums walk rows in sorted
+	// (v, k) order so the verdict is bit-identical run to run —
+	// near-tolerance witnesses must not flip with Go's randomized map
+	// iteration.
 	obj := 0.0
 	for i, e := range in.edges {
 		obj += in.wHat(e.k) * w.y[i]
 	}
-	for _, rk := range muKeys {
-		obj -= 3 * in.wHat(rk.k) * w.mu[rk]
+	mu := make(map[rowKey]float64, len(w.mu))
+	for _, m := range w.mu {
+		obj -= 3 * in.wHat(m.k) * m.val
+		mu[m.rowKey] = m.val
 	}
 	if obj < (1-in.eps)*w.beta-tol {
 		return "objective below (1-eps)beta"
@@ -403,7 +419,7 @@ func checkLP7(in microInput, w *lp7Witness, tol float64) string {
 	}
 	perVertex := map[int32]float64{}
 	for _, rk := range sortedRowKeys(perRow) {
-		d := perRow[rk] - 2*w.mu[rk]
+		d := perRow[rk] - 2*mu[rk]
 		if d > 0 {
 			perVertex[rk.v] += d
 		}
@@ -449,9 +465,9 @@ func checkLP7(in microInput, w *lp7Witness, tol float64) string {
 					lhs += w.y[i]
 				}
 			}
-			for _, rk := range muKeys {
-				if rk.k >= l && mask[rk.v] {
-					lhs -= w.mu[rk]
+			for _, m := range w.mu {
+				if m.k >= l && mask[m.v] {
+					lhs -= m.val
 				}
 			}
 			if lhs > float64(norm/2)+tol {
@@ -511,8 +527,4 @@ func sortedRowKeys(m map[rowKey]float64) []rowKey {
 		return keys[i].k < keys[j].k
 	})
 	return keys
-}
-
-func sortDesc(xs []int) {
-	sort.Sort(sort.Reverse(sort.IntSlice(xs)))
 }

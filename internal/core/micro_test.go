@@ -18,15 +18,22 @@ func microFromGraph(g *graph.Graph, level int, w float64, zeta map[rowKey]float6
 	for i, e := range g.Edges() {
 		edges = append(edges, supportEdge{u: e.U, v: e.V, k: level, w: w, origIdx: i})
 	}
-	if zeta == nil {
-		zeta = map[rowKey]float64{}
-	}
 	maxNorm := int(math.Ceil(4 / eps))
 	return microInput{
-		edges: edges, zeta: zeta, rho: rho, beta: beta, eps: eps,
+		edges: edges, zeta: rowVals(zeta), rho: rho, beta: beta, eps: eps,
 		bOf:  func(int) int { return 1 },
 		wHat: unitWHat, nLevels: level + 1, maxNorm: maxNorm,
 	}
+}
+
+// rowVals lists a rowKey-indexed map in ascending (v, k) order, the
+// form microInput.zeta takes.
+func rowVals(m map[rowKey]float64) []rowVal {
+	var out []rowVal
+	for _, rk := range sortedRowKeys(m) {
+		out = append(out, rowVal{rk, m[rk]})
+	}
+	return out
 }
 
 func TestMicroZeroGammaReturnsZero(t *testing.T) {

@@ -82,64 +82,54 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 		return res
 	}
 	// P_o rows: (i,k) pairs with incident support edges; q_o = 3ŵ_k.
-	rowIndex := sc.rowIndex
+	// The row structure is built once per support and shared with every
+	// MicroOracle call below.
+	sc.buildRows(edges, wHat, nLevels)
 	rows := sc.rows
-	vertexRows := sc.vertexRows
-	for _, e := range edges {
-		for _, rk := range [2]rowKey{{e.u, e.k}, {e.v, e.k}} {
-			if _, ok := rowIndex[rk]; !ok {
-				rowIndex[rk] = len(rows)
-				if _, seen := vertexRows[rk.v]; !seen {
-					vertexRows[rk.v] = sc.rowList()
-				}
-				vertexRows[rk.v] = append(vertexRows[rk.v], len(rows))
-				rows = append(rows, rk)
-			}
-		}
-	}
-	sc.rows = rows
 	// Row values of an answer: (2x_i(k) + Σ_{ℓ<=k} Σ_{U∋i} z_{U,ℓ}) / 3ŵ_k.
 	rowValues := func(ans *oracleAnswer) []float64 {
 		rv := sc.f64s.get(len(rows))
 		for _, xe := range ans.xEntries {
-			if ri, ok := rowIndex[rowKey{xe.v, xe.k}]; ok {
+			if ri := sc.rowOf(rowKey{xe.v, xe.k}); ri >= 0 {
 				rv[ri] += 2 * xe.val
 			}
 		}
 		for _, ze := range ans.zEntries {
 			for _, m := range ze.members {
-				for _, ri := range vertexRows[m] {
+				for _, ri := range sc.vertexRows(m) {
 					if rows[ri].k >= ze.level {
 						rv[ri] += ze.val
 					}
 				}
 			}
 		}
-		for ri, rk := range rows {
-			rv[ri] /= 3 * wHat(rk.k)
+		for ri := range rows {
+			rv[ri] /= sc.den[ri]
 		}
 		return rv
 	}
-	usC := 0.0
-	for _, e := range edges {
-		usC += wHat(e.k) * e.w
-	}
+	usC := sc.usC
 
 	var accum *answerAccum
 	var pending oracleAnswer
 
 	// Oracle-P: Lemma 10's binary search over ϱ.
 	oracle := func(z []float64, _ int) ([]float64, bool) {
-		// ζ_{i,k} = z_row / (3ŵ_k) (the PST multipliers carry 1/d_r).
-		zeta := sc.zeta
-		clear(zeta)
+		// ζ_{i,k} = z_row / (3ŵ_k) (the PST multipliers carry 1/d_r),
+		// listed in (v, k) order; zᵀq_o sums in row order.
 		zTqo := 0.0
-		for ri, rk := range rows {
+		for ri := range rows {
 			if z[ri] > 0 {
-				zeta[rk] = z[ri] / (3 * wHat(rk.k))
 				zTqo += z[ri]
 			}
 		}
+		zeta := sc.zeta[:0]
+		for _, ri := range sc.byCell {
+			if z[ri] > 0 {
+				zeta = append(zeta, rowVal{rows[ri], z[ri] / sc.den[ri]})
+			}
+		}
+		sc.zeta = zeta
 		if zTqo <= 0 {
 			zTqo = 1e-300
 		}
@@ -147,7 +137,7 @@ func runMiniOracle(edges []supportEdge, beta, eps float64, prof Profile,
 		rho0 := 12 * usC / (13 * zTqo)
 		call := func(rho float64) (microResult, []float64, float64) {
 			res.microCalls++
-			mr := runMicroOracleScratch(microInput{
+			mr := microOnRows(microInput{
 				edges: edges, zeta: zeta, rho: rho, beta: beta, eps: eps,
 				bOf: bOf, wHat: wHat, nLevels: nLevels, maxNorm: maxNorm,
 				noOdd: prof.DisableOddSets,

@@ -1,16 +1,22 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/oddset"
 )
 
 // oracleScratch owns the retained working buffers of the sequential
-// refine-and-use loop: the P_o row machinery of runMiniOracle, the
-// per-call maps and odd-set instance buffers of runMicroOracle, and the
-// answer containers the packing framework averages. One scratch belongs
-// to one solver and the oracle loop is sequential, so nothing locks.
+// refine-and-use loop: the support's row structure shared by
+// runMiniOracle and runMicroOracle, the MicroOracle's per-call row and
+// odd-set instance buffers, and the answer containers the packing
+// framework averages. One scratch belongs to one solver and the oracle
+// loop is sequential, so nothing locks.
+//
+// The rows live on a flat (vertex, level) grid: cell v·nl+k addresses
+// row (v, k), so ascending cells are exactly the (v, k) lexicographic
+// order every float accumulation over rows walks. The grid is the dual
+// state's own O(n·levels) footprint; its shape (nv, nl) is re-derived
+// from each support, so supports of different sizes and level counts
+// share one scratch.
 //
 // The aliasing rules that keep reuse sound:
 //
@@ -19,9 +25,10 @@ import (
 //     handed out during the previous call is dead by then — the final
 //     answer is consumed by dualState.Average before the next use, and
 //     pack.Solve copies its initial rows instead of retaining them.
-//   - Maps and append-buffers without lent tracking are cleared at the
-//     start of the call that owns them (zeta per packing-oracle
-//     invocation, the odd-set buffers per MicroOracle call).
+//   - Grids and append-buffers without lent tracking are resized and
+//     zeroed (or truncated) by the call that owns them: the row
+//     structure per support (buildRows), ζ per packing-oracle
+//     invocation, the per-row and odd-set buffers per MicroOracle call.
 //   - Anything that lands in long-lived state is NEVER pooled: odd-set
 //     member lists (retained by dualState.addZSet) stay freshly
 //     allocated in sortedMembers, as do the LP7 witness fields.
@@ -29,12 +36,20 @@ import (
 // A nil scratch is legal everywhere and means "allocate fresh", which
 // is also how the tests drive the oracles directly.
 type oracleScratch struct {
-	// MiniOracle row machinery, rebuilt per call.
-	rowIndex   map[rowKey]int
-	rows       []rowKey
-	vertexRows map[int32][]int
-	rowSpare   [][]int // retired vertexRows value slices
-	zeta       map[rowKey]float64
+	// The support's row structure, rebuilt by buildRows: the P_o rows
+	// of runMiniOracle are exactly the s_{i,k} rows of runMicroOracle.
+	nv, nl  int       // grid shape: vertices (max endpoint + 1) × levels
+	rowAt   []int32   // grid: row index + 1, 0 = no support row
+	rows    []rowKey  // first-appearance order — the packing row order
+	byCell  []int32   // row indices in ascending cell = (v, k) order
+	sRow    []float64 // per row: s_{i,k} = Σ_j uˢ_{ijk}
+	den     []float64 // per row: 3ŵ_k
+	vrStart []int32   // per vertex: offsets into vrRows (len nv+1)
+	vrRows  []int32   // row indices grouped by vertex, ascending
+	inUse   []bool    // per level: carries a support edge
+	usC     float64   // (uˢ)ᵀc = Σ_k ŵ_k Σ_{E'_k} uˢ
+
+	zeta []rowVal // ζ of the current packing-oracle invocation
 
 	// refineBatch buffers: per-level support rows (each written only by
 	// the worker that owns its index, so the parallel fan-out stays
@@ -55,84 +70,102 @@ type oracleScratch struct {
 	accZ, finZ, combZ []zEntry
 
 	// MicroOracle per-call state.
-	s           map[rowKey]float64
-	levelsInUse map[int]bool
-	zetaKeys    []rowKey // both key buffers are alive at once, hence two
-	sKeys       []rowKey
-	pos         map[int32][]posEntry
-	posSpare    [][]posEntry
-	posVerts    []int32
-	kstar       map[int32]int
-	zetaBarSums map[rowKey]float64
-	activeDesc  []int
-	qhat        []float64      // oddset.Instance charge vector, len nV
-	bnorm       []int          // oddset.Instance norms, len nV
-	qedges      []oddset.QEdge // oddset.Instance edge list
+	zetaRow    []float64  // per row: ζ_{i,k}
+	zbRow      []float64  // per row: ζ̄_{i,k}
+	dPos       []bool     // per row: d_{i,k} > 0
+	pos        []posEntry // Pos(i) lists, contiguous per vertex
+	posVerts   []int32    // vertices with a non-empty Pos, ascending
+	posStart   []int32    // offsets into pos per posVerts entry (+1 end)
+	kstar      []int32    // per vertex: k*_i + 1, 0 = not violating
+	viol       []int32    // indices into posVerts of violating vertices
+	activeDesc []int
+	qhat       []float64      // oddset.Instance charge vector, len nV
+	bnorm      []int          // oddset.Instance norms, len nV
+	qedges     []oddset.QEdge // oddset.Instance edge list
 }
 
-func newOracleScratch() *oracleScratch {
-	return &oracleScratch{
-		rowIndex:    make(map[rowKey]int),
-		vertexRows:  make(map[int32][]int),
-		zeta:        make(map[rowKey]float64),
-		s:           make(map[rowKey]float64),
-		levelsInUse: make(map[int]bool),
-		pos:         make(map[int32][]posEntry),
-		kstar:       make(map[int32]int),
-		zetaBarSums: make(map[rowKey]float64),
-	}
-}
+func newOracleScratch() *oracleScratch { return &oracleScratch{} }
 
 // beginMini resets the scratch for one runMiniOracle call: reclaim the
-// lent pools (the previous call's buffers are all dead, see above) and
-// clear the row machinery.
+// lent pools (the previous call's buffers are all dead, see above).
 func (sc *oracleScratch) beginMini() {
 	sc.f64s.reclaim()
 	sc.xents.reclaim()
 	sc.zents.reclaim()
-	clear(sc.rowIndex)
-	sc.rows = sc.rows[:0]
-	//lint:ordered slice recycling into a spare pool; order never observed
-	for v, l := range sc.vertexRows {
-		sc.rowSpare = append(sc.rowSpare, l[:0])
-		delete(sc.vertexRows, v)
-	}
 }
 
-// rowList returns an empty []int for a vertexRows entry, recycling a
-// retired one when available.
-func (sc *oracleScratch) rowList() []int {
-	if last := len(sc.rowSpare) - 1; last >= 0 {
-		l := sc.rowSpare[last]
-		sc.rowSpare = sc.rowSpare[:last]
-		return l
+// buildRows lays the support's rows out on the (vertex, level) grid:
+// rows in first-appearance order (u before v per edge), their incident
+// support mass s accumulated in edge order, the (v, k)-sorted row
+// order, the per-vertex row lists, the active levels and (uˢ)ᵀc.
+func (sc *oracleScratch) buildRows(edges []supportEdge, wHat func(int) float64, nLevels int) {
+	maxV := int32(0)
+	for _, e := range edges {
+		maxV = max(maxV, e.u, e.v)
 	}
-	return nil
+	nv, nl := int(maxV)+1, nLevels
+	sc.nv, sc.nl = nv, nl
+	rowAt := resizeZeroed(sc.rowAt, nv*nl)
+	inUse := resizeZeroed(sc.inUse, nl)
+	rows, s := sc.rows[:0], sc.sRow[:0]
+	usC := 0.0
+	for _, e := range edges {
+		for _, v := range [2]int32{e.u, e.v} {
+			c := int(v)*nl + e.k
+			if rowAt[c] == 0 {
+				rows = append(rows, rowKey{v, e.k})
+				s = append(s, 0)
+				rowAt[c] = int32(len(rows))
+			}
+			s[rowAt[c]-1] += e.w
+		}
+		usC += wHat(e.k) * e.w
+		inUse[e.k] = true
+	}
+	den := sc.den[:0]
+	for _, rk := range rows {
+		den = append(den, 3*wHat(rk.k))
+	}
+	byCell := sc.byCell[:0]
+	for _, ri := range rowAt {
+		if ri != 0 {
+			byCell = append(byCell, ri-1)
+		}
+	}
+	// Per-vertex row lists (CSR): count, prefix-sum, then fill in row
+	// order with vrStart as the cursor and shift it back.
+	start := resizeZeroed(sc.vrStart, nv+1)
+	for _, rk := range rows {
+		start[rk.v+1]++
+	}
+	for v := 1; v <= nv; v++ {
+		start[v] += start[v-1]
+	}
+	vrRows := resizeZeroed(sc.vrRows, len(rows))
+	for ri, rk := range rows {
+		vrRows[start[rk.v]] = int32(ri)
+		start[rk.v]++
+	}
+	copy(start[1:], start[:nv])
+	start[0] = 0
+	sc.rowAt, sc.inUse, sc.rows, sc.sRow, sc.den = rowAt, inUse, rows, s, den
+	sc.byCell, sc.vrStart, sc.vrRows, sc.usC = byCell, start, vrRows, usC
 }
 
-// beginMicro resets the MicroOracle per-call state.
-func (sc *oracleScratch) beginMicro() {
-	clear(sc.s)
-	clear(sc.levelsInUse)
-	clear(sc.kstar)
-	clear(sc.zetaBarSums)
-	sc.posVerts = sc.posVerts[:0]
-	sc.activeDesc = sc.activeDesc[:0]
-	//lint:ordered slice recycling into a spare pool; order never observed
-	for v, l := range sc.pos {
-		sc.posSpare = append(sc.posSpare, l[:0])
-		delete(sc.pos, v)
+// rowOf returns rk's row index, or -1 when rk is not a support row.
+func (sc *oracleScratch) rowOf(rk rowKey) int {
+	if rk.v < 0 || int(rk.v) >= sc.nv || rk.k < 0 || rk.k >= sc.nl {
+		return -1
 	}
+	return int(sc.rowAt[int(rk.v)*sc.nl+rk.k]) - 1
 }
 
-// posList returns an empty []posEntry, recycling a retired one.
-func (sc *oracleScratch) posList() []posEntry {
-	if last := len(sc.posSpare) - 1; last >= 0 {
-		l := sc.posSpare[last]
-		sc.posSpare = sc.posSpare[:last]
-		return l
+// vertexRows returns the row indices of vertex v, ascending.
+func (sc *oracleScratch) vertexRows(v int32) []int32 {
+	if v < 0 || int(v) >= sc.nv {
+		return nil
 	}
-	return nil
+	return sc.vrRows[sc.vrStart[v]:sc.vrStart[v+1]]
 }
 
 // posEntry is one positive-deficit level of a vertex (d_{i,k} > 0).
@@ -141,40 +174,38 @@ type posEntry struct {
 	d float64
 }
 
-// retainedWords approximates the scratch's pooled footprint in 64-bit
-// words: slice-backed buffers at capacity, struct sizes rounded up to
-// whole words. The map-backed scratch (row index, ζ, deficit tables) is
-// excluded — Go maps do not expose their footprint — so this is a
-// floor. Retained capacity, never part of any run's metered live space.
+// retainedWords counts the scratch's pooled footprint in 64-bit words:
+// every retained backing array at capacity — grids, per-row and
+// per-vertex buffers, pool spines and the buffers they hold — summed
+// in bytes and rounded up once. Fixed-size struct fields are not
+// counted. Retained capacity, never part of any run's metered live
+// space.
 func (sc *oracleScratch) retainedWords() int {
 	const (
-		rowKeyW      = 2 // {int32, int}
-		supportEdgeW = 4 // {int32, int32, int, float64, int}
-		xEntryW      = 3 // {int32, int, float64}
-		zEntryW      = 5 // {int, float64, []int32 header}
-		posEntryW    = 2 // {int, float64}
-		qEdgeW       = 2 // {int32, int32, float64}
+		i32B, intB, f64B, sliceB = 4, 8, 8, 24
+		rowKeyB                  = 16 // {int32, int}
+		rowValB                  = 24 // {rowKey, float64}
+		supportEdgeB             = 32 // {int32, int32, int, float64, int}
+		xEntryB                  = 24 // {int32, int, float64}
+		zEntryB                  = 40 // {[]int32, int, float64}
+		posEntryB                = 16 // {int, float64}
+		qEdgeB                   = 16 // {int32, int32, float64}
 	)
-	w := rowKeyW * (cap(sc.rows) + cap(sc.zetaKeys) + cap(sc.sKeys))
-	for _, l := range sc.rowSpare {
-		w += cap(l)
-	}
-	w += supportEdgeW * cap(sc.support)
+	b := i32B * (cap(sc.rowAt) + cap(sc.byCell) + cap(sc.vrStart) + cap(sc.vrRows) +
+		cap(sc.posVerts) + cap(sc.posStart) + cap(sc.kstar) + cap(sc.viol))
+	b += cap(sc.inUse) + cap(sc.dPos) // one byte per bool
+	b += intB * (cap(sc.activeDesc) + cap(sc.bnorm))
+	b += f64B * (cap(sc.sRow) + cap(sc.den) + cap(sc.zetaRow) + cap(sc.zbRow) + cap(sc.qhat))
+	b += rowKeyB*cap(sc.rows) + rowValB*cap(sc.zeta)
+	b += supportEdgeB*cap(sc.support) + sliceB*cap(sc.perLevel)
 	for _, row := range sc.perLevel {
-		w += supportEdgeW * cap(row)
+		b += supportEdgeB * cap(row)
 	}
-	w += sc.f64s.capWords(1)
-	w += sc.xents.capWords(xEntryW)
-	w += sc.zents.capWords(zEntryW)
-	w += xEntryW * (cap(sc.accX) + cap(sc.finX) + cap(sc.combX))
-	w += zEntryW * (cap(sc.accZ) + cap(sc.finZ) + cap(sc.combZ))
-	for _, l := range sc.posSpare {
-		w += posEntryW * cap(l)
-	}
-	w += (cap(sc.posVerts) + 1) / 2
-	w += cap(sc.activeDesc) + cap(sc.qhat) + cap(sc.bnorm)
-	w += qEdgeW * cap(sc.qedges)
-	return w
+	b += sc.f64s.capBytes(f64B) + sc.xents.capBytes(xEntryB) + sc.zents.capBytes(zEntryB)
+	b += xEntryB * (cap(sc.accX) + cap(sc.finX) + cap(sc.combX))
+	b += zEntryB * (cap(sc.accZ) + cap(sc.finZ) + cap(sc.combZ))
+	b += posEntryB*cap(sc.pos) + qEdgeB*cap(sc.qedges)
+	return (b + 7) / 8
 }
 
 // lentPool is a typed free-list with wholesale reclaim — the engine
@@ -236,8 +267,10 @@ func (p *lentPool[T]) reclaim() {
 	p.lent = p.lent[:0]
 }
 
-// capWords sums both lists' capacity at wordsPerElem words per element.
-func (p *lentPool[T]) capWords(wordsPerElem int) int {
+// capBytes sums both lists' spines and buffers at capacity, elemBytes
+// bytes per element.
+func (p *lentPool[T]) capBytes(elemBytes int) int {
+	const sliceB = 24
 	n := 0
 	for _, b := range p.free {
 		n += cap(b)
@@ -245,34 +278,16 @@ func (p *lentPool[T]) capWords(wordsPerElem int) int {
 	for _, b := range p.lent {
 		n += cap(b)
 	}
-	return wordsPerElem * n
+	return sliceB*(cap(p.free)+cap(p.lent)) + elemBytes*n
 }
 
-// sortedRowKeysInto is sortedRowKeys appending into a caller-retained
-// buffer: the canonical (v, k) accumulation order without the per-call
-// key-slice allocation and without sort.Slice's reflection-based
-// swapper. Map keys are distinct, so any correct sort produces the same
-// permutation — bit-identical to the sort.Slice path.
-func sortedRowKeysInto(buf []rowKey, m map[rowKey]float64) []rowKey {
-	keys := buf[:0]
-	//lint:ordered key collection, sorted immediately below
-	for rk := range m {
-		keys = append(keys, rk)
+// resizeZeroed returns b resliced (or regrown) to length n with every
+// element zeroed.
+func resizeZeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
-	slices.SortFunc(keys, func(a, b rowKey) int {
-		if a.v != b.v {
-			if a.v < b.v {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.k < b.k:
-			return -1
-		case a.k > b.k:
-			return 1
-		}
-		return 0
-	})
-	return keys
+	b = b[:n]
+	clear(b)
+	return b
 }

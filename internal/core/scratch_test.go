@@ -2,40 +2,16 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/xrand"
 )
 
 // Determinism pinning for the retained oracle scratch: everything the
 // scratch recycles must leave results bit-identical to cold allocation,
 // including across calls of different shapes (the dangerous path — a
 // stale entry from a larger previous call leaking into a smaller one).
-
-// TestSortedRowKeysIntoMatchesAllocating pins the scratch key-slice path
-// against the allocating sortedRowKeys across reuses of one buffer on
-// maps of varying size (shrinking included).
-func TestSortedRowKeysIntoMatchesAllocating(t *testing.T) {
-	rng := xrand.New(99)
-	var buf []rowKey
-	for trial, size := range []int{17, 120, 3, 64, 0, 9} {
-		m := make(map[rowKey]float64, size)
-		for len(m) < size {
-			m[rowKey{int32(rng.Intn(40)), rng.Intn(6)}] = rng.Float64()
-		}
-		want := sortedRowKeys(m)
-		buf = sortedRowKeysInto(buf, m)
-		if len(buf) != len(want) {
-			t.Fatalf("trial %d: got %d keys, want %d", trial, len(buf), len(want))
-		}
-		for i := range want {
-			if buf[i] != want[i] {
-				t.Fatalf("trial %d: key %d = %v, want %v", trial, i, buf[i], want[i])
-			}
-		}
-	}
-}
 
 // answersEqual compares oracle answers entry-wise at the bit level
 // (reused buffers differ from cold nil slices only in capacity, which
@@ -130,4 +106,59 @@ func TestMiniOracleScratchReuseBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOracleScratchRetainedWordsExact holds retainedWords to a
+// reflection walk over every slice the scratch owns — the row grids,
+// per-row and per-vertex buffers, pool spines and pooled buffers — so
+// a buffer added to the scratch without being counted fails here.
+func TestOracleScratchRetainedWordsExact(t *testing.T) {
+	prof := Practical(0.25)
+	bOf := func(v int) int { return 1 + v%2 }
+	sc := newOracleScratch()
+	if got := sc.retainedWords(); got != 0 {
+		t.Fatalf("fresh scratch retains %d words", got)
+	}
+	for gi, g := range []*graph.Graph{
+		graph.GNM(20, 60, graph.WeightConfig{Mode: graph.UnitWeights}, 11),
+		graph.TriangleChain(4),
+	} {
+		var edges []supportEdge
+		for i, e := range g.Edges() {
+			edges = append(edges, supportEdge{u: e.U, v: e.V, k: i % 3, w: 1, origIdx: i})
+		}
+		sc.perLevel = resizeRows(sc.perLevel, 2)
+		sc.perLevel[gi] = append(sc.perLevel[gi], edges...)
+		for _, beta := range []float64{0.5, 4, 50} {
+			runMiniOracle(edges, beta, 0.25, prof, bOf, unitWHat, 3, 7, sc)
+		}
+	}
+	want := (scratchBytes(reflect.ValueOf(sc).Elem()) + 7) / 8
+	if got := sc.retainedWords(); got != want {
+		t.Fatalf("retainedWords = %d, reflection walk says %d", got, want)
+	}
+}
+
+// scratchBytes sums the backing arrays reachable through v's slices at
+// capacity, descending into slices of slices and into struct fields
+// (the lent pools) but not into slice elements' own fields — zEntry
+// member lists belong to the dual state, not the scratch.
+func scratchBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Slice:
+		b := v.Cap() * int(v.Type().Elem().Size())
+		if v.Type().Elem().Kind() == reflect.Slice {
+			for i := 0; i < v.Len(); i++ {
+				b += scratchBytes(v.Index(i))
+			}
+		}
+		return b
+	case reflect.Struct:
+		b := 0
+		for i := 0; i < v.NumField(); i++ {
+			b += scratchBytes(v.Field(i))
+		}
+		return b
+	}
+	return 0
 }

@@ -5,7 +5,7 @@ package core
 // scratch arena across solves, so a second solve on a same-shape
 // instance reuses the first solve's working memory — the dual state's
 // n×nl table, the (use, level) construction grids, the staging chunk,
-// the union map/subgraph and the union-find forest pool — instead of
+// the union slice/subgraph and the union-find forest pool — instead of
 // reallocating all of it. Every solve is bit-identical to a cold
 // Solve/SolveWith of the same (source, Options): retention is capacity
 // only, never state, and the space accountant meters exactly the words
@@ -73,9 +73,9 @@ func (s *Session) Runs() int { return s.runs }
 // RetainedWords reports the session's retained scratch capacity — warm
 // memory between runs, not part of any run's metered live space. It
 // sums the engine arena's typed pools with the solver-owned pools this
-// arena cannot see: the sparsifier scratch (forests, shells, item and
-// reveal buffers) and the oracle-loop scratch. Map-backed scratch is
-// excluded (maps do not expose their footprint), so this is a floor.
+// arena cannot see: the sparsifier scratch (forests, shells, builder
+// side data, item and reveal buffers) and the oracle-loop scratch
+// (row grids, per-row buffers, answer pools).
 func (s *Session) RetainedWords() int {
 	return s.arena.RetainedWords() + s.alg.retainedWords()
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -219,17 +219,17 @@ type dualPrimal struct {
 
 	// Round-loop scratch retained across rounds and runs: the (use,
 	// slot) grids of deferred constructions, the offline-solve union
-	// map and its sorted index list, the union subgraph, and the pool
-	// of union-find forests every construction draws from. All of it is
-	// rebuilt from scratch-equivalent state each round; retention only
-	// removes the per-round make/alloc traffic the allocation audit
-	// found here.
+	// (sorted by source index, deduplicated), the union subgraph, and
+	// the pool of union-find forests every construction draws from.
+	// All of it is rebuilt from scratch-equivalent state each round;
+	// retention only removes the per-round make/alloc traffic the
+	// allocation audit found here.
 	batches   [][]*sparsify.DeferredBuilder
 	batchBuf  []*sparsify.DeferredBuilder
 	defs      [][]*sparsify.Deferred
 	defBuf    []*sparsify.Deferred
-	union     map[int]graph.Edge
-	unionIdx  []int
+	union     []unionEdge
+	unionTmp  []unionEdge // radix-sort ping-pong buffer
 	sub       *graph.Graph
 	ufScratch *sparsify.Scratch
 	scratch   *oracleScratch // refine + oracle-loop working buffers
@@ -244,6 +244,40 @@ type dualPrimal struct {
 }
 
 type defJob struct{ q, slot, k int }
+
+// unionEdge is one sampled edge of the offline-solve union, keyed by
+// its index in the source stream.
+type unionEdge struct {
+	orig int
+	e    graph.Edge
+}
+
+// sortByOrig sorts xs by source index with a stable LSD radix sort, one
+// pass per significant byte of the largest index, ping-ponging through
+// tmp. It returns the sorted slice and the other buffer for reuse.
+func sortByOrig(xs, tmp []unionEdge) (sorted, spare []unionEdge) {
+	maxOrig := 0
+	for _, x := range xs {
+		maxOrig = max(maxOrig, x.orig)
+	}
+	tmp = slices.Grow(tmp[:0], len(xs))[:len(xs)]
+	for shift := 0; maxOrig>>shift > 0; shift += 8 {
+		var start [257]int
+		for _, x := range xs {
+			start[(x.orig>>shift)&0xff+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		for _, x := range xs {
+			b := (x.orig >> shift) & 0xff
+			tmp[start[b]] = x
+			start[b]++
+		}
+		xs, tmp = tmp, xs
+	}
+	return xs, tmp
+}
 
 // newDualPrimal validates the options and builds a fresh solver
 // instance for one run.
@@ -264,7 +298,7 @@ func newDualPrimal(opt Options) (*dualPrimal, error) {
 // Reset prepares the solver for another run (the engine.Algorithm
 // reuse contract): per-run results, duals-trajectory and convergence
 // state clear; the retained scratch — the dual state's backing table,
-// the job grids, the staging chunk, the union map/subgraph and the
+// the job grids, the staging chunk, the union slice/subgraph and the
 // union-find pool — stays warm for Init to reuse. The best-so-far
 // matching is released, not truncated: the previous run's Outcome owns
 // those slices.
@@ -293,10 +327,12 @@ func (a *dualPrimal) Reset(engine.Params) {
 func (a *dualPrimal) SetWarm(w *WarmDuals) { a.warm = w }
 
 // retainedWords sums the solver-owned pooled scratch the session arena
-// cannot see: the sparsifier scratch (forests, shells, item and reveal
-// buffers) and the oracle-loop scratch. Zero before the first Init.
+// cannot see: the offline-solve union buffers, the sparsifier scratch
+// (forests, shells, builder side data, item and reveal buffers) and the
+// oracle-loop scratch. Zero before the first Init.
 func (a *dualPrimal) retainedWords() int {
-	w := 0
+	const unionEdgeW = 3 // {int, graph.Edge{int32, int32, float64}}
+	w := unionEdgeW * (cap(a.union) + cap(a.unionTmp))
 	if a.ufScratch != nil {
 		w += a.ufScratch.RetainedWords()
 	}
@@ -436,9 +472,6 @@ func (a *dualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	// and the instance; a session's next run finds it warm.
 	a.batches, a.batchBuf = grid(a.batches, a.batchBuf, a.tUses, len(a.liveLevels))
 	a.defs, a.defBuf = grid(a.defs, a.defBuf, a.tUses, len(a.liveLevels))
-	if a.union == nil {
-		a.union = make(map[int]graph.Edge)
-	}
 	if a.sub == nil || a.sub.N() != a.n {
 		a.sub = graph.New(a.n)
 	}
@@ -630,23 +663,20 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	// 5); raise β on improvement (step 6). The stored Items carry
 	// endpoints and original weights, so the union subgraph is built
 	// from the samples alone — no lookback into the source. The union
-	// map, index list and subgraph are retained scratch, rebuilt in
-	// place each round.
-	clear(a.union)
+	// and subgraph are retained scratch, rebuilt in place each round:
+	// sorted by source index and deduplicated (every copy of an index
+	// carries the same source edge, so which one survives is moot).
+	a.union = a.union[:0]
 	for q := range a.defs {
 		for _, d := range a.defs[q] {
 			for _, it := range d.Items() {
-				a.union[it.Orig] = graph.Edge{U: it.U, V: it.V, W: it.W}
+				a.union = append(a.union, unionEdge{it.Orig, graph.Edge{U: it.U, V: it.V, W: it.W}})
 			}
 		}
 	}
-	a.unionIdx = a.unionIdx[:0]
-	//lint:ordered key collection, sort.Ints'd immediately below
-	for idx := range a.union {
-		a.unionIdx = append(a.unionIdx, idx)
-	}
-	sort.Ints(a.unionIdx)
-	a.res.Stats.UnionSizes = append(a.res.Stats.UnionSizes, len(a.unionIdx))
+	a.union, a.unionTmp = sortByOrig(a.union, a.unionTmp)
+	a.union = slices.CompactFunc(a.union, func(x, y unionEdge) bool { return x.orig == y.orig })
+	a.res.Stats.UnionSizes = append(a.res.Stats.UnionSizes, len(a.union))
 	sub := a.sub
 	sub.Clear()
 	for v := 0; v < a.n; v++ {
@@ -654,9 +684,8 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 			sub.SetB(v, b)
 		}
 	}
-	for _, idx := range a.unionIdx {
-		e := a.union[idx]
-		sub.MustAddEdge(int(e.U), int(e.V), e.W)
+	for _, ue := range a.union {
+		sub.MustAddEdge(int(ue.e.U), int(ue.e.V), ue.e.W)
 	}
 	cand, _ := matching.OfflineB(sub, matching.OfflineConfig{ExactLimit: a.prof.OfflineExactLimit})
 	candHat := 0.0
@@ -678,7 +707,7 @@ func (a *dualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 		remap := &matching.Matching{Mult: []int{}}
 		w := 0.0
 		for ci, si := range cand.EdgeIdx {
-			remap.EdgeIdx = append(remap.EdgeIdx, a.unionIdx[si])
+			remap.EdgeIdx = append(remap.EdgeIdx, a.union[si].orig)
 			mult := 1
 			if cand.Mult != nil {
 				mult = cand.Mult[ci]

@@ -1,9 +1,10 @@
 package sparsify
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DeferredBuilder is the streaming construction of the deferred
@@ -24,15 +25,25 @@ import (
 type DeferredBuilder struct {
 	n, m    int
 	chi     float64
-	cfg     Config // defaults and chi² oversampling already applied
-	classes map[int]*construction
-	info    map[int]builderEdge // localIdx -> side data for stored edges
+	cfg     Config         // defaults and chi² oversampling already applied
+	classes []builderClass // ascending class
+	last    int            // index of the most recently used class
+	info    []builderEdge  // side data per stored edge, in arrival order
+}
+
+// builderClass is one powers-of-two promise class and its construction.
+type builderClass struct {
+	cl int
+	c  *construction
 }
 
 // builderEdge is the per-stored-edge side data the construction core does
-// not keep.
+// not keep. An edge's position in DeferredBuilder.info is its slot: the
+// constructions' stored rows record slots, so Finish reaches the side
+// data by index.
 type builderEdge struct {
 	u, v  int32
+	local int
 	w     float64
 	orig  int
 	sigma float64
@@ -55,14 +66,20 @@ func NewDeferredBuilder(n, m int, chi float64, cfg Config) (*DeferredBuilder, er
 		chi: chi,
 		cfg: deferredConfig(n, chi, cfg),
 	}
-	if s := b.cfg.Scratch; s != nil && s.n == n {
-		b.classes = s.getClassMap()
-		b.info = s.getInfoMap()
-	} else {
-		b.classes = make(map[int]*construction)
-		b.info = make(map[int]builderEdge)
+	if s := b.scratch(); s != nil {
+		b.classes = s.classes.get(nil)[:0]
+		b.info = s.infos.get(nil)[:0]
 	}
 	return b, nil
+}
+
+// scratch returns the configured pool when it is sized for this
+// builder's vertex count, nil otherwise.
+func (b *DeferredBuilder) scratch() *Scratch {
+	if s := b.cfg.Scratch; s != nil && s.n == b.n {
+		return s
+	}
+	return nil
 }
 
 // Add streams one edge into the construction. localIdx must be the edge's
@@ -75,15 +92,25 @@ func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sig
 	if !(sigma > 0) {
 		return
 	}
-	cl := int(math.Floor(math.Log2(sigma)))
-	c := b.classes[cl]
-	if c == nil {
-		c = newConstruction(b.n, b.m, withClassSeed(b.cfg, cl))
-		b.classes[cl] = c
+	c := b.class(int(math.Floor(math.Log2(sigma))))
+	if c.process(localIdx, len(b.info), u, v) {
+		b.info = append(b.info, builderEdge{u: u, v: v, local: localIdx, w: w, orig: orig, sigma: sigma})
 	}
-	if c.process(localIdx, u, v) {
-		b.info[localIdx] = builderEdge{u: u, v: v, w: w, orig: orig, sigma: sigma}
+}
+
+// class returns the construction of promise class cl, creating it (in
+// class order) on first use.
+func (b *DeferredBuilder) class(cl int) *construction {
+	if b.last < len(b.classes) && b.classes[b.last].cl == cl {
+		return b.classes[b.last].c
 	}
+	i, found := slices.BinarySearchFunc(b.classes, cl, func(e builderClass, cl int) int { return cmp.Compare(e.cl, cl) })
+	if !found {
+		c := newConstruction(b.n, b.m, withClassSeed(b.cfg, cl))
+		b.classes = slices.Insert(b.classes, i, builderClass{cl: cl, c: c})
+	}
+	b.last = i
+	return b.classes[i].c
 }
 
 // Finish emits the Deferred. The per-class item streams concatenate in
@@ -96,67 +123,50 @@ func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sig
 // and the caller hands the containers back through Deferred.Release.
 // The builder must not be used after Finish.
 func (b *DeferredBuilder) Finish() *Deferred {
-	var scr *Scratch
-	if s := b.cfg.Scratch; s != nil && s.n == b.n {
-		scr = s
-	}
-	keys := make([]int, 0, len(b.classes))
-	//lint:ordered key collection, sorted immediately below
-	for cl := range b.classes {
-		keys = append(keys, cl)
-	}
-	sort.Ints(keys)
+	scr := b.scratch()
 	d := &Deferred{n: b.n, chi: b.chi, scr: scr}
-	var seen map[int]bool
+	// seen is parallel to info: an edge's slot belongs to exactly one
+	// class, so one flag per slot dedups the levels of every class.
+	var seen []bool
 	if scr != nil {
-		d.byEdge = scr.getIntMap()
-		d.items = scr.getItems(0)
-		seen = scr.getBoolMap()
-	} else {
-		d.byEdge = make(map[int]int)
+		d.items = scr.items.get(nil)[:0]
+		seen = scr.flags.get(nil)
 	}
-	for _, cl := range keys {
-		sub := b.classes[cl]
-		// Per-class dedup: edge indices never repeat across classes, so
-		// one cleared map behaves exactly like a fresh map per class.
-		if scr != nil {
-			clear(seen)
-		} else {
-			seen = make(map[int]bool)
-		}
+	seen = resizeZeroed(seen, len(b.info))
+	for _, bc := range b.classes {
+		sub := bc.c
 		for i := 0; i < sub.numLv; i++ {
-			for _, idx := range sub.stored[i] {
-				if seen[idx] {
+			for _, slot := range sub.stored[i] {
+				if seen[slot] {
 					continue
 				}
-				seen[idx] = true
-				info := b.info[idx]
+				seen[slot] = true
+				info := &b.info[slot]
 				ipLv, ok := sub.criticalLevel(info.u, info.v)
 				if !ok {
 					continue
 				}
-				if sub.levelOf(idx) < ipLv {
+				if sub.levelOf(info.local) < ipLv {
 					continue
 				}
-				prob := retentionProb(ipLv)
-				d.byEdge[idx] = len(d.items)
 				d.items = append(d.items, Item{
-					EdgeIdx: idx,
+					EdgeIdx: info.local,
 					Orig:    info.orig,
 					U:       info.u,
 					V:       info.v,
 					W:       info.w,
 					Weight:  info.sigma, // provisional; replaced on Refine
-					Prob:    prob,
+					Prob:    retentionProb(ipLv),
 				})
 			}
 		}
 		sub.retire()
 	}
 	if scr != nil {
-		scr.putBoolMap(seen)
-		scr.putClassMap(b.classes)
-		scr.putInfoMap(b.info)
+		clear(b.classes) // drop the retired shells' pointers
+		scr.flags.put(seen)
+		scr.classes.put(b.classes)
+		scr.infos.put(b.info)
 		b.classes, b.info = nil, nil
 	}
 	return d

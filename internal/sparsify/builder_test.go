@@ -62,9 +62,6 @@ func TestBuilderMatchesNewDeferred(t *testing.T) {
 					t.Fatalf("item %d differs: builder %+v vs NewDeferred %+v", i, got.items[i], w)
 				}
 			}
-			if !reflect.DeepEqual(got.byEdge, want.byEdge) {
-				t.Fatal("byEdge maps differ")
-			}
 			// Refinement must agree too (RefineWith vs RefineParallel).
 			u := make([]float64, g.M())
 			for i := range u {

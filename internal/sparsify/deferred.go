@@ -19,10 +19,9 @@ import (
 // by at most e^(±ε) per inner iteration — χ = γ = n^(1/(2p)) covers a full
 // batch of −ε⁻¹·log γ iterations (Theorem 3).
 type Deferred struct {
-	n      int
-	chi    float64
-	items  []Item // probabilities fixed at sampling time; Weight holds ς until refined
-	byEdge map[int]int
+	n     int
+	chi   float64
+	items []Item // probabilities fixed at sampling time; Weight holds ς until refined
 
 	// scr is the pool the structure's containers return to on Release
 	// (set when built through a Scratch-configured DeferredBuilder; nil
@@ -33,24 +32,20 @@ type Deferred struct {
 	refined []Item
 }
 
-// Release hands the structure's pooled containers (items, byEdge index,
-// and the last refinement's backing) back to the Scratch it was built
-// with. No-op without one. The Deferred — and any Sparsifier its
-// RefineWith produced — must not be used afterwards.
+// Release hands the structure's pooled containers (items and the last
+// refinement's backing) back to the Scratch it was built with. No-op
+// without one. The Deferred — and any Sparsifier its RefineWith
+// produced — must not be used afterwards.
 func (d *Deferred) Release() {
 	if d.scr == nil {
 		return
 	}
 	if d.items != nil {
-		d.scr.putItems(d.items)
+		d.scr.items.put(d.items)
 		d.items = nil
 	}
-	if d.byEdge != nil {
-		d.scr.putIntMap(d.byEdge)
-		d.byEdge = nil
-	}
 	if d.refined != nil {
-		d.scr.putItems(d.refined)
+		d.scr.items.put(d.refined)
 		d.refined = nil
 	}
 }
@@ -88,7 +83,7 @@ func NewDeferred(n int, edgeEndpoints func(i int) (u, v int32), m int, sigma []f
 		grp := classes[ci]
 		sub := newConstruction(n, m, withClassSeed(cfg, grp.class))
 		for _, idx := range grp.idxs {
-			sub.process(idx, endpoints[idx].u, endpoints[idx].v)
+			sub.process(idx, idx, endpoints[idx].u, endpoints[idx].v)
 		}
 		// finish needs a graph.Edge slice; synthesize on the fly.
 		seen := make(map[int]bool)
@@ -120,12 +115,9 @@ func NewDeferred(n int, edgeEndpoints func(i int) (u, v int32), m int, sigma []f
 		}
 		return items
 	})
-	d := &Deferred{n: n, chi: chi, byEdge: make(map[int]int)}
+	d := &Deferred{n: n, chi: chi}
 	for _, its := range perClass {
-		for _, it := range its {
-			d.byEdge[it.EdgeIdx] = len(d.items)
-			d.items = append(d.items, it)
-		}
+		d.items = append(d.items, its...)
 	}
 	return d, nil
 }
@@ -210,8 +202,9 @@ func (d *Deferred) RefineWith(workers int, reveal func(it Item) float64) *Sparsi
 	})
 	var items []Item
 	if d.scr != nil {
-		items = d.scr.getItems(len(d.items))
-	} else {
+		items = d.scr.items.get(nil)[:0]
+	}
+	if items == nil {
 		items = make([]Item, 0, len(d.items))
 	}
 	for i, it := range d.items {
@@ -222,7 +215,7 @@ func (d *Deferred) RefineWith(workers int, reveal func(it Item) float64) *Sparsi
 		items = append(items, it)
 	}
 	if d.scr != nil {
-		d.scr.putF64s(revealed)
+		d.scr.f64s.put(revealed)
 		d.refined = items // reclaimed by Release
 	}
 	return &Sparsifier{N: d.n, Items: items}

@@ -19,27 +19,25 @@ import (
 //
 // Beyond forests, the pool recycles the rest of the builder lifecycle's
 // containers: construction shells (level spines and stored-index rows),
-// the builder's class and side-data maps, the emitted Deferred's item
-// slices and byEdge index, and the refinement's reveal buffers. Every
-// getter hands back a logically empty structure (cleared map, length-0
-// or fully-overwritten slice), so pooled and cold constructions are
+// the builder's class list, side-data slice and dedup flags, the
+// emitted Deferred's item slices, and the refinement's reveal buffers.
+// Every getter hands back a logically empty structure (length-0 or
+// fully-overwritten slice), so pooled and cold constructions are
 // bit-identical.
 //
 // All getters and putters are safe for concurrent use: the per-class
 // and per-job constructions of one sampling round run on the worker
 // pool and share the solve's Scratch.
 type Scratch struct {
-	n    int
-	mu   sync.Mutex
-	free []*unionfind.UF
+	n int
 
-	shells   []*construction
-	infos    []map[int]builderEdge
-	classes  []map[int]*construction
-	intMaps  []map[int]int
-	boolMaps []map[int]bool
-	items    [][]Item
-	f64s     [][]float64
+	forests freeList[*unionfind.UF]
+	shells  freeList[*construction]
+	infos   freeList[[]builderEdge]
+	classes freeList[[]builderClass]
+	flags   freeList[[]bool]
+	items   freeList[[]Item]
+	f64s    freeList[[]float64]
 }
 
 // NewScratch returns an empty pool of forests over n elements.
@@ -50,49 +48,41 @@ func (s *Scratch) N() int { return s.n }
 
 // Retained returns how many forests the pool currently holds.
 func (s *Scratch) Retained() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.free)
+	s.forests.mu.Lock()
+	defer s.forests.mu.Unlock()
+	return len(s.forests.free)
 }
 
-// RetainedWords reports the pool's slice-backed capacity in 64-bit
-// words (forests, construction-shell rows, item and reveal buffers; an
-// Item is 6 words). The map pools are excluded — Go maps do not expose
-// their footprint — so this is a floor on what the pool keeps warm.
-// Like every arena-side count, retained capacity is never part of any
-// run's metered live space.
+// Word sizes of the pooled element types on a 64-bit platform.
+const (
+	pointerWords      = 1
+	sliceHeaderWords  = 3
+	itemWords         = 6 // EdgeIdx, Orig, U|V, W, Weight, Prob
+	builderEdgeWords  = 5 // u|v, local, w, orig, sigma
+	builderClassWords = 2 // cl, *construction
+)
+
+// RetainedWords reports everything the pool keeps warm in 64-bit words:
+// every free list's spine and every pooled backing array at capacity —
+// forests (unionfind.UF.Words), construction-shell spines and rows,
+// builder side data, class lists and dedup flags, item and reveal
+// buffers. Fixed-size struct headers are not counted. Like every
+// arena-side count, retained capacity is never part of any run's
+// metered live space.
 func (s *Scratch) RetainedWords() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := 0
-	for _, uf := range s.free {
-		w += uf.Words()
-	}
-	for _, c := range s.shells {
-		for _, row := range c.stored {
-			w += cap(row)
-		}
-		w += 3 * (cap(c.ufs) + cap(c.stored)) // spine headers
-	}
-	for _, b := range s.items {
-		w += 6 * cap(b)
-	}
-	for _, b := range s.f64s {
-		w += cap(b)
-	}
-	return w
+	return s.forests.words(pointerWords, (*unionfind.UF).Words) +
+		s.shells.words(pointerWords, (*construction).words) +
+		s.infos.words(sliceHeaderWords, func(b []builderEdge) int { return builderEdgeWords * cap(b) }) +
+		s.classes.words(sliceHeaderWords, func(b []builderClass) int { return builderClassWords * cap(b) }) +
+		s.flags.words(sliceHeaderWords, func(b []bool) int { return (cap(b) + 7) / 8 }) +
+		s.items.words(sliceHeaderWords, func(b []Item) int { return itemWords * cap(b) }) +
+		s.f64s.words(sliceHeaderWords, func(b []float64) int { return cap(b) })
 }
 
 // Get returns a forest of n singleton sets: a pooled one Reset in
 // place, or a fresh one when the pool is empty.
 func (s *Scratch) Get() *unionfind.UF {
-	s.mu.Lock()
-	var uf *unionfind.UF
-	if last := len(s.free) - 1; last >= 0 {
-		uf = s.free[last]
-		s.free = s.free[:last]
-	}
-	s.mu.Unlock()
+	uf := s.forests.get(nil)
 	if uf == nil {
 		return unionfind.New(s.n)
 	}
@@ -103,147 +93,70 @@ func (s *Scratch) Get() *unionfind.UF {
 // Put returns forests to the pool. Only forests obtained from this
 // Scratch (or sized exactly n) may come back; the caller must not use
 // them afterwards.
-func (s *Scratch) Put(ufs ...*unionfind.UF) {
-	s.mu.Lock()
-	s.free = append(s.free, ufs...)
-	s.mu.Unlock()
-}
-
-// getShell pops a retired construction shell (nil when none is
-// pooled); putShell retires one. The caller re-initializes every field
-// except the retained spine/row capacity.
-func (s *Scratch) getShell() *construction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.shells) - 1; last >= 0 {
-		c := s.shells[last]
-		s.shells = s.shells[:last]
-		return c
-	}
-	return nil
-}
-
-func (s *Scratch) putShell(c *construction) {
-	s.mu.Lock()
-	s.shells = append(s.shells, c)
-	s.mu.Unlock()
-}
-
-// The map getters return empty maps (pooled ones are cleared on the
-// way back in), the slice getters length-0 slices with whatever
-// capacity a retired buffer carried.
-
-func (s *Scratch) getInfoMap() map[int]builderEdge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.infos) - 1; last >= 0 {
-		m := s.infos[last]
-		s.infos = s.infos[:last]
-		return m
-	}
-	return make(map[int]builderEdge)
-}
-
-func (s *Scratch) putInfoMap(m map[int]builderEdge) {
-	clear(m)
-	s.mu.Lock()
-	s.infos = append(s.infos, m)
-	s.mu.Unlock()
-}
-
-func (s *Scratch) getClassMap() map[int]*construction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.classes) - 1; last >= 0 {
-		m := s.classes[last]
-		s.classes = s.classes[:last]
-		return m
-	}
-	return make(map[int]*construction)
-}
-
-func (s *Scratch) putClassMap(m map[int]*construction) {
-	clear(m)
-	s.mu.Lock()
-	s.classes = append(s.classes, m)
-	s.mu.Unlock()
-}
-
-func (s *Scratch) getIntMap() map[int]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.intMaps) - 1; last >= 0 {
-		m := s.intMaps[last]
-		s.intMaps = s.intMaps[:last]
-		return m
-	}
-	return make(map[int]int)
-}
-
-func (s *Scratch) putIntMap(m map[int]int) {
-	clear(m)
-	s.mu.Lock()
-	s.intMaps = append(s.intMaps, m)
-	s.mu.Unlock()
-}
-
-func (s *Scratch) getBoolMap() map[int]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last := len(s.boolMaps) - 1; last >= 0 {
-		m := s.boolMaps[last]
-		s.boolMaps = s.boolMaps[:last]
-		return m
-	}
-	return make(map[int]bool)
-}
-
-func (s *Scratch) putBoolMap(m map[int]bool) {
-	clear(m)
-	s.mu.Lock()
-	s.boolMaps = append(s.boolMaps, m)
-	s.mu.Unlock()
-}
-
-func (s *Scratch) getItems(capHint int) []Item {
-	s.mu.Lock()
-	if last := len(s.items) - 1; last >= 0 {
-		b := s.items[last]
-		s.items = s.items[:last]
-		s.mu.Unlock()
-		return b[:0]
-	}
-	s.mu.Unlock()
-	return make([]Item, 0, capHint)
-}
-
-func (s *Scratch) putItems(b []Item) {
-	s.mu.Lock()
-	s.items = append(s.items, b)
-	s.mu.Unlock()
-}
+func (s *Scratch) Put(ufs ...*unionfind.UF) { s.forests.put(ufs...) }
 
 // getF64s returns a length-n float64 buffer whose every element the
 // caller must overwrite before reading (reveal buffers are filled by a
 // full-range shard sweep, so no clear happens here).
 func (s *Scratch) getF64s(n int) []float64 {
-	s.mu.Lock()
-	for i := len(s.f64s) - 1; i >= 0; i-- {
-		if cap(s.f64s[i]) >= n {
-			b := s.f64s[i][:n]
-			last := len(s.f64s) - 1
-			s.f64s[i] = s.f64s[last]
-			s.f64s = s.f64s[:last]
-			s.mu.Unlock()
-			return b
-		}
+	if b := s.f64s.get(func(b []float64) bool { return cap(b) >= n }); b != nil {
+		return b[:n]
 	}
-	s.mu.Unlock()
 	return make([]float64, n)
 }
 
-func (s *Scratch) putF64s(b []float64) {
-	s.mu.Lock()
-	s.f64s = append(s.f64s, b)
-	s.mu.Unlock()
+// freeList is one typed pool of the Scratch: retired values (shells,
+// forests, slice backings) wait here until a getter hands them out
+// again. Slice getters truncate what they receive; a nil result means
+// the list had nothing suitable and the caller allocates.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// get pops the most recently retired value that fits (nil fits means
+// any), or returns T's zero value.
+func (l *freeList[T]) get(fits func(T) bool) T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var zero T
+	for i := len(l.free) - 1; i >= 0; i-- {
+		if v := l.free[i]; fits == nil || fits(v) {
+			last := len(l.free) - 1
+			l.free[i] = l.free[last]
+			l.free[last] = zero
+			l.free = l.free[:last]
+			return v
+		}
+	}
+	return zero
+}
+
+func (l *freeList[T]) put(vs ...T) {
+	l.mu.Lock()
+	l.free = append(l.free, vs...)
+	l.mu.Unlock()
+}
+
+// words sums the list's spine (entryWords per slot of capacity) and
+// each pooled value's own footprint.
+func (l *freeList[T]) words(entryWords int, of func(T) int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	w := entryWords * cap(l.free)
+	for _, v := range l.free {
+		w += of(v)
+	}
+	return w
+}
+
+// resizeZeroed returns b resliced (or regrown) to length n with every
+// element zeroed.
+func resizeZeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }

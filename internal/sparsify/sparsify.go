@@ -109,12 +109,12 @@ func (s *Sparsifier) CutWeight(inSet []bool) float64 {
 // construction holds the per-level forest state shared by the plain and
 // deferred builds.
 type construction struct {
-	cfg     Config
-	n       int
-	numLv   int
-	levelOf func(edgeIdx int) int // geometric subsampling level of an edge
-	ufs     [][]*unionfind.UF     // [level][j], j < K
-	stored  [][]int               // [level] -> edge indices stored in forests
+	cfg    Config
+	n      int
+	numLv  int
+	hash   *xrand.PolyHash   // draws each edge's subsampling level
+	ufs    [][]*unionfind.UF // [level][j], j < K
+	stored [][]int           // [level] -> slots of the edges stored in forests
 }
 
 func newConstruction(n, m int, cfg Config) *construction {
@@ -128,7 +128,7 @@ func newConstruction(n, m int, cfg Config) *construction {
 	// computes exactly what a fresh one does.
 	var c *construction
 	if s := cfg.Scratch; s != nil && s.n == n {
-		c = s.getShell()
+		c = s.shells.get(nil)
 	}
 	if c == nil {
 		c = &construction{}
@@ -136,9 +136,7 @@ func newConstruction(n, m int, cfg Config) *construction {
 	c.cfg = cfg
 	c.n = n
 	c.numLv = numLv
-	c.levelOf = func(edgeIdx int) int {
-		return h.Level(uint64(edgeIdx)+1, numLv-1)
-	}
+	c.hash = h
 	c.ufs = respine(c.ufs, numLv)
 	c.stored = respine(c.stored, numLv)
 	// Forests are allocated lazily: forest j at level i exists only once
@@ -157,11 +155,18 @@ func respine[T any](rows [][]T, n int) [][]T {
 	return rows[:n]
 }
 
+// levelOf is the geometric subsampling level of an edge.
+func (c *construction) levelOf(edgeIdx int) int {
+	return c.hash.Level(uint64(edgeIdx)+1, c.numLv-1)
+}
+
 // process streams one edge through every level it survives to, inserting
-// it into the first forest without a cycle (Algorithm 6 steps 5-8).
-// Reports whether the edge was stored at any level, so streaming callers
-// can retain side data for stored edges only.
-func (c *construction) process(edgeIdx int, u, v int32) bool {
+// it into the first forest without a cycle (Algorithm 6 steps 5-8). The
+// stored rows record slot: the edge index itself for the array-fed
+// builds, the side-data position for the streaming builder. Reports
+// whether the edge was stored at any level, so streaming callers can
+// retain side data for stored edges only.
+func (c *construction) process(edgeIdx, slot int, u, v int32) bool {
 	lv := c.levelOf(edgeIdx)
 	storedAny := false
 	for i := 0; i <= lv && i < c.numLv; i++ {
@@ -170,7 +175,7 @@ func (c *construction) process(edgeIdx int, u, v int32) bool {
 		for j := 0; j < len(forests); j++ {
 			if !forests[j].Same(int(u), int(v)) {
 				forests[j].Union(int(u), int(v))
-				c.stored[i] = append(c.stored[i], edgeIdx)
+				c.stored[i] = append(c.stored[i], slot)
 				placed = true
 				break
 			}
@@ -183,7 +188,7 @@ func (c *construction) process(edgeIdx int, u, v int32) bool {
 			nf := c.newForest()
 			nf.Union(int(u), int(v))
 			c.ufs[i] = append(forests, nf)
-			c.stored[i] = append(c.stored[i], edgeIdx)
+			c.stored[i] = append(c.stored[i], slot)
 			storedAny = true
 		}
 	}
@@ -199,6 +204,19 @@ func (c *construction) newForest() *unionfind.UF {
 	return unionfind.New(c.n)
 }
 
+// words is a retired shell's pooled footprint: both level spines and
+// their rows at capacity.
+func (c *construction) words() int {
+	w := sliceHeaderWords * (cap(c.ufs) + cap(c.stored))
+	for _, row := range c.ufs[:cap(c.ufs)] {
+		w += pointerWords * cap(row)
+	}
+	for _, row := range c.stored[:cap(c.stored)] {
+		w += cap(row)
+	}
+	return w
+}
+
 // release hands every allocated forest back to the configured pool.
 // Call only once the construction is fully consumed (criticalLevel
 // reads the forests during item emission).
@@ -209,7 +227,8 @@ func (c *construction) release() {
 	}
 	for i, forests := range c.ufs {
 		s.Put(forests...)
-		c.ufs[i] = nil
+		clear(forests)
+		c.ufs[i] = forests[:0] // the level's spine stays with the shell
 	}
 }
 
@@ -225,8 +244,8 @@ func (c *construction) retire() {
 	for i := range c.stored {
 		c.stored[i] = c.stored[i][:0]
 	}
-	c.levelOf = nil
-	s.putShell(c)
+	c.hash = nil
+	s.shells.put(c)
 }
 
 // criticalLevel returns i′(e): the smallest level at which the endpoints
@@ -291,7 +310,7 @@ func Unweighted(g *graph.Graph, cfg Config) *Sparsifier {
 	cfg = cfg.withDefaults(g.N())
 	c := newConstruction(g.N(), g.M(), cfg)
 	for idx, e := range g.Edges() {
-		c.process(idx, e.U, e.V)
+		c.process(idx, idx, e.U, e.V)
 	}
 	items := c.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
 	return &Sparsifier{N: g.N(), Items: items}
@@ -311,7 +330,7 @@ func Weighted(g *graph.Graph, cfg Config) *Sparsifier {
 		sub := newConstruction(g.N(), g.M(), withClassSeed(cfg, grp.class))
 		for _, idx := range grp.idxs {
 			e := g.Edge(idx)
-			sub.process(idx, e.U, e.V)
+			sub.process(idx, idx, e.U, e.V)
 		}
 		return sub.finish(g.Edges(), func(i int) float64 { return g.Edge(i).W })
 	})
