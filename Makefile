@@ -10,9 +10,9 @@ REV ?= dev
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: check fmt vet build test race fuzz lint bench experiments bench-json bench-gate bench-profile bench-allocs
+.PHONY: check fmt vet build test race fuzz lint bench-build bench experiments bench-json bench-gate bench-profile bench-allocs
 
-check: fmt vet build race lint fuzz
+check: fmt vet build race lint fuzz bench-build
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -50,6 +50,12 @@ lint:
 	else \
 		echo "govulncheck: skipped (offline or findings; set LINT_STRICT=1 to enforce)"; \
 	fi
+
+# The repo benchmark (perfbench/) is its own module, so the targets
+# above never compile it: vet and test it here, so an API change that
+# breaks the benchmark fails the gate instead of the next benchmark run.
+bench-build:
+	cd perfbench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test .
 
 # Short fuzz smoke over the RBG1/RBG2 decoders: hostile bytes must be
 # rejected with a typed error, never a panic or hostile allocation.

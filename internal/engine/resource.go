@@ -125,10 +125,10 @@ const ctxCheckEvery = 256
 // edges (including before the first) and ends the pass via the normal
 // early-abort path, so pass metering is untouched. Derived views built
 // on top of the wrapper (the per-level Filtered streams) inherit the
-// guard through Sweep. Parallel sweeps delegate unguarded — the engine
-// only reaches them through code paths it bounds itself — and the pass
-// counter is the inner source's, so a run that is never cancelled is
-// bit-identical to an unwrapped one.
+// guard through its un-metered sweeps. Parallel sweeps delegate
+// unguarded — the engine only reaches them through code paths it bounds
+// itself — and the pass counter is the inner source's, so a run that is
+// never cancelled is bit-identical to an unwrapped one.
 type ctxSource struct {
 	inner stream.Source
 	ctx   context.Context

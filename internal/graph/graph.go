@@ -79,13 +79,17 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 // AddEdge appends an undirected edge {u,v} with weight w. Self loops and
 // non-positive weights are rejected with an error, matching the paper's
 // assumption w_ij >= 1 after normalization (any positive weight is fine
-// before normalization).
+// before normalization). Endpoints are stored as int32, so ids above
+// math.MaxInt32 are rejected even when the graph declares more vertices.
 func (g *Graph) AddEdge(u, v int, w float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop on vertex %d", u)
 	}
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
+	}
+	if u > math.MaxInt32 || v > math.MaxInt32 {
+		return fmt.Errorf("graph: edge (%d,%d) has a vertex id above the int32 limit %d", u, v, math.MaxInt32)
 	}
 	if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) {
 		return fmt.Errorf("graph: edge (%d,%d) has invalid weight %v", u, v, w)

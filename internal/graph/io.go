@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -44,6 +45,12 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			b, err := strconv.Atoi(parts[2])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
+			}
+			if v < 0 {
+				return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
+			}
+			if v > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: vertex id %d above the int32 limit", lineNo, v)
 			}
 			caps = append(caps, cap{v, b})
 			if v > maxV {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,5 +116,54 @@ func TestCutSubmodularity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVertexIDsOutsideInt32Rejected pins the id range at every entry
+// that builds edges: endpoints are stored as int32, so an id above
+// math.MaxInt32 must be an error rather than silently wrapping onto a
+// small vertex, and a negative id on a capacity line must be an error
+// rather than an index panic.
+func TestVertexIDsOutsideInt32Rejected(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"add-edge", func() error { return New(1<<32+2).AddEdge(0, 1<<32+1, 1) }},
+		{"add-edge-first-endpoint", func() error { return New(1<<32+2).AddEdge(1<<31, 1, 1) }},
+		{"edge-list", func() error {
+			_, err := ReadEdgeList(strings.NewReader("0 4294967297 1"))
+			return err
+		}},
+		{"edge-list-capacity-above-int32", func() error {
+			_, err := ReadEdgeList(strings.NewReader("0 1 2\nb 4294967297 2\n"))
+			return err
+		}},
+		{"edge-list-negative-capacity-id", func() error {
+			_, err := ReadEdgeList(strings.NewReader("0 1 2\nb -1 2\n"))
+			if err != nil && !strings.Contains(err.Error(), "line 2: negative vertex id") {
+				t.Errorf("error %q lacks the line-numbered negative-id message", err)
+			}
+			return err
+		}},
+		{"dimacs", func() error {
+			_, err := ReadDIMACS(strings.NewReader("p edge 4294967300 1\ne 1 4294967298 3"))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+	// The largest representable id still works.
+	g := New(math.MaxInt32 + 1)
+	if err := g.AddEdge(0, math.MaxInt32, 1); err != nil {
+		t.Fatalf("id math.MaxInt32 rejected: %v", err)
+	}
+	if e := g.Edge(0); e.V != math.MaxInt32 {
+		t.Fatalf("stored endpoint %d, want %d", e.V, math.MaxInt32)
 	}
 }

@@ -361,6 +361,29 @@ func TestMalformedJobs(t *testing.T) {
 	}
 }
 
+// TestBuildSourceRejectsIDsAboveInt32 calls buildSource directly, so no
+// solve ever starts on the oversized vertex count: an endpoint above
+// math.MaxInt32 must be an invalid job, not an edge silently wrapped
+// onto a small vertex id.
+func TestBuildSourceRejectsIDsAboveInt32(t *testing.T) {
+	s, _ := startServer(t, Config{})
+	for _, spec := range []SourceSpec{
+		{Kind: "edges", N: 1<<32 + 2, Edges: [][]float64{{0, 1<<32 + 1, 1}}},
+		{Kind: "edges", N: 1<<32 + 2, Edges: [][]float64{{1 << 31, 0, 1}}},
+	} {
+		src, cleanup, doc := s.buildSource(&spec)
+		if cleanup != nil {
+			cleanup()
+		}
+		if doc == nil {
+			t.Fatalf("edges %v accepted as a source with n=%d", spec.Edges, src.N())
+		}
+		if doc.Code != "invalid_job" {
+			t.Fatalf("error code = %q, want invalid_job", doc.Code)
+		}
+	}
+}
+
 // TestUnknownJob404s pins the not-found contract for all job readers.
 func TestUnknownJob404s(t *testing.T) {
 	_, ts := startServer(t, Config{})

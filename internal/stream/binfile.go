@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 // Compact binary edge formats for out-of-core instances, little-endian
@@ -385,7 +384,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // page-ins with no read syscalls at all (ReadAt is the fallback).
 // Sweeps and lookups are safe for concurrent use.
 type FileSource struct {
-	meter
+	sweeps
 	f       *os.File
 	path    string
 	n, m    int
@@ -467,6 +466,7 @@ func newFileSource(f *os.File, path string, opt OpenOptions) (*FileSource, error
 		return nil, err
 	}
 	src.path = path
+	src.sweeps = ranged(src.m, src.sweepBlocksRange)
 	if !opt.NoMmap {
 		// Best-effort: a failed map (platform without support, weird
 		// filesystem, empty file) silently keeps the ReadAt path.
@@ -918,76 +918,4 @@ func (s *FileSource) adviseNext(off, length int64) {
 		return
 	}
 	adviseWillNeed(s.data[off:end])
-}
-
-// sweepRange enumerates edges [lo, hi) one at a time on top of the
-// block decoder.
-func (s *FileSource) sweepRange(lo, hi int, f func(idx int, e graph.Edge) bool) {
-	s.sweepBlocksRange(lo, hi, func(base int, edges []graph.Edge) bool {
-		for i := range edges {
-			if !f(base+i, edges[i]) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// ForEach performs one pass over the file in record order. Returning
-// false aborts the pass (it still counts as a pass).
-func (s *FileSource) ForEach(f func(idx int, e graph.Edge) bool) {
-	s.pass()
-	s.Sweep(f)
-}
-
-// Sweep is ForEach without the pass charge (Source contract).
-func (s *FileSource) Sweep(f func(idx int, e graph.Edge) bool) {
-	s.sweepRange(0, s.m, f)
-}
-
-// ForEachParallel performs one pass sharded by record range: each
-// worker decodes its own blocks, so the shards together read the file
-// exactly once. Counts one pass for any worker count (Source contract).
-func (s *FileSource) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
-	s.pass()
-	s.SweepParallel(workers, f)
-}
-
-// SweepParallel is ForEachParallel without the pass charge.
-func (s *FileSource) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
-	parallel.ForEachShard(workers, s.m, func(_ int, r parallel.Range) {
-		s.sweepRange(r.Lo, r.Hi, func(idx int, e graph.Edge) bool {
-			f(idx, e)
-			return true
-		})
-	})
-}
-
-// ForEachBlocks performs one metered pass in dense blocks (BlockSweeper
-// contract). RBG2 frames map one-to-one onto delivered blocks.
-func (s *FileSource) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.pass()
-	s.SweepBlocks(f)
-}
-
-// SweepBlocks is ForEachBlocks without the pass charge.
-func (s *FileSource) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.sweepBlocksRange(0, s.m, f)
-}
-
-// ForEachBlocksParallel performs one metered pass with blocks sharded
-// by edge range across workers (BlockSweeper contract).
-func (s *FileSource) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	s.pass()
-	s.SweepBlocksParallel(workers, f)
-}
-
-// SweepBlocksParallel is ForEachBlocksParallel without the pass charge.
-func (s *FileSource) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	parallel.ForEachShard(workers, s.m, func(_ int, r parallel.Range) {
-		s.sweepBlocksRange(r.Lo, r.Hi, func(base int, edges []graph.Edge) bool {
-			f(base, edges)
-			return true
-		})
-	})
 }

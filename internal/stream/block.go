@@ -10,7 +10,11 @@ import "repro/internal/graph"
 // greedy baselines) pay one callback per few thousand edges instead of
 // one interface call plus one closure call per edge.
 //
-// The contract, relative to the per-edge sweeps:
+// Inside this package the block sweep is the primitive and the
+// per-edge sweep is derived from it: every backend supplies only its
+// un-metered block sweeps, and the embedded sweeps type builds all
+// eight methods on top (see Source). The contract, relative to the
+// per-edge sweeps:
 //
 //   - Concatenating the delivered (base+i, edges[i]) pairs yields
 //     exactly the per-edge sweep's sequence: same indices, same order.
@@ -27,13 +31,13 @@ import "repro/internal/graph"
 //     each index is delivered exactly once, blocks may arrive
 //     concurrently from multiple goroutines, one pass total.
 //
-// Backends implement BlockSweeper natively; every other Source still
-// conforms through the package-level helpers, which fall back to
-// batching the per-edge sweep. Wrapper types that intercept ForEach /
-// ForEachParallel by embedding a backend must intercept the block
-// methods too — the helpers type-assert the whole value, so an
-// embedded backend's native block methods would otherwise bypass the
-// wrapper.
+// Every backend in this package implements BlockSweeper; any other
+// Source still conforms through the package-level helpers, which fall
+// back to batching the per-edge sweep. Wrapper types outside this
+// package that intercept ForEach / ForEachParallel by embedding a
+// backend must intercept the block methods too — the helpers
+// type-assert the whole value, so an embedded backend's native block
+// methods would otherwise bypass the wrapper.
 
 // BlockEdges is the default block granule: big enough to amortize the
 // callback, small enough that a sweep's working set stays cache-sized
@@ -109,8 +113,8 @@ func SweepBlocksParallel(src Source, workers int, f func(base int, edges []graph
 }
 
 // sweepToBlocks batches a per-edge sweep into maximal dense runs of up
-// to BlockEdges edges. Non-contiguous indices (a Filtered view without
-// a native implementation) flush the pending run, so every delivered
+// to BlockEdges edges. Non-contiguous indices (a filtering Source
+// without block methods) flush the pending run, so every delivered
 // block is dense by construction.
 func sweepToBlocks(sweep func(f func(idx int, e graph.Edge) bool), f func(base int, edges []graph.Edge) bool) {
 	buf := make([]graph.Edge, 0, BlockEdges)
@@ -137,18 +141,14 @@ func sweepToBlocks(sweep func(f func(idx int, e graph.Edge) bool), f func(base i
 
 // sliceBlocks emits edges[lo:hi] of a fully materialized edge slice
 // (stream index == slice index) as zero-copy sub-slices of at most
-// BlockEdges edges. Reports false when the callback aborted.
-func sliceBlocks(edges []graph.Edge, lo, hi int, f func(base int, edges []graph.Edge) bool) bool {
+// BlockEdges edges, stopping when the callback aborts.
+func sliceBlocks(edges []graph.Edge, lo, hi int, f func(base int, edges []graph.Edge) bool) {
 	for b := lo; b < hi; b += BlockEdges {
-		e := b + BlockEdges
-		if e > hi {
-			e = hi
-		}
+		e := min(b+BlockEdges, hi)
 		if !f(b, edges[b:e:e]) {
-			return false
+			return
 		}
 	}
-	return true
 }
 
 // filterBlocks splits one delivered block into the maximal dense runs

@@ -18,7 +18,7 @@ import (
 // ConcatSource meters its own passes; the sub-sources' counters are not
 // advanced (the composition is the stream, its parts are storage shards).
 type ConcatSource struct {
-	meter
+	sweeps
 	subs    []Source
 	offsets []int
 	total   int
@@ -52,6 +52,7 @@ func Concat(subs ...Source) (*ConcatSource, error) {
 		c.offsets[si] = c.total
 		c.total += sub.Len()
 	}
+	c.sweeps = sweeps{blocks: c.blocksInOrder, shards: c.blocksConcurrent}
 	return c, nil
 }
 
@@ -84,58 +85,15 @@ func (c *ConcatSource) Edge(i int) graph.Edge {
 	return ra.Edge(i - c.offsets[si])
 }
 
-// ForEach performs one pass over the sub-sources in order. Returning
-// false aborts the pass (it still counts as a pass).
-func (c *ConcatSource) ForEach(f func(idx int, e graph.Edge) bool) {
-	c.pass()
-	c.Sweep(f)
-}
-
-// Sweep is ForEach without the pass charge (Source contract).
-func (c *ConcatSource) Sweep(f func(idx int, e graph.Edge) bool) {
-	for si, sub := range c.subs {
-		off := c.offsets[si]
-		aborted := false
-		sub.Sweep(func(i int, e graph.Edge) bool {
-			if !f(off+i, e) {
-				aborted = true
-				return false
-			}
-			return true
-		})
-		if aborted {
-			return
-		}
-	}
-}
-
-// ForEachParallel performs one pass with the sub-sources swept
-// concurrently, each sharded internally across its slice of the worker
-// budget. Counts one pass for any worker count (Source contract).
-func (c *ConcatSource) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
-	c.pass()
-	c.SweepParallel(workers, f)
-}
-
-// ForEachBlocks performs one metered pass over the sub-sources in
-// order, in dense blocks (BlockSweeper contract). Each sub-source's
-// blocks are shifted by its offset, so dense runs stay dense.
-func (c *ConcatSource) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
-	c.pass()
-	c.SweepBlocks(f)
-}
-
-// SweepBlocks is ForEachBlocks without the pass charge.
-func (c *ConcatSource) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
+// blocksInOrder sweeps the sub-sources one after another, shifting each
+// one's blocks by its offset so dense runs stay dense.
+func (c *ConcatSource) blocksInOrder(f func(base int, edges []graph.Edge) bool) {
 	for si, sub := range c.subs {
 		off := c.offsets[si]
 		aborted := false
 		SweepBlocks(sub, func(base int, edges []graph.Edge) bool {
-			if !f(off+base, edges) {
-				aborted = true
-				return false
-			}
-			return true
+			aborted = !f(off+base, edges)
+			return !aborted
 		})
 		if aborted {
 			return
@@ -143,38 +101,14 @@ func (c *ConcatSource) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
 	}
 }
 
-// ForEachBlocksParallel performs one metered pass with the sub-sources
-// swept concurrently, each delivering blocks through its own sharded
-// block sweep (BlockSweeper contract).
-func (c *ConcatSource) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	c.pass()
-	c.SweepBlocksParallel(workers, f)
-}
-
-// SweepBlocksParallel is ForEachBlocksParallel without the pass charge.
-func (c *ConcatSource) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	inner := parallel.Workers(workers) / len(c.subs)
-	if inner < 1 {
-		inner = 1
-	}
+// blocksConcurrent sweeps the sub-sources concurrently, each through
+// its own sharded block sweep on its slice of the worker budget.
+func (c *ConcatSource) blocksConcurrent(workers int, f func(base int, edges []graph.Edge)) {
+	inner := max(parallel.Workers(workers)/len(c.subs), 1)
 	parallel.Run(workers, len(c.subs), func(si int) {
 		off := c.offsets[si]
 		SweepBlocksParallel(c.subs[si], inner, func(base int, edges []graph.Edge) {
 			f(off+base, edges)
-		})
-	})
-}
-
-// SweepParallel is ForEachParallel without the pass charge.
-func (c *ConcatSource) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
-	inner := parallel.Workers(workers) / len(c.subs)
-	if inner < 1 {
-		inner = 1
-	}
-	parallel.Run(workers, len(c.subs), func(si int) {
-		off := c.offsets[si]
-		c.subs[si].SweepParallel(inner, func(i int, e graph.Edge) {
-			f(off+i, e)
 		})
 	})
 }

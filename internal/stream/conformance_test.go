@@ -4,8 +4,9 @@ package stream
 // (including the early-abort rule: an aborted sweep still counts one
 // pass), replayability (every sweep enumerates the same (idx, edge)
 // sequence), parallel/sequential equivalence for every worker count,
-// static metadata consistency, the un-metered Sweep contract, and
-// RandomAccess agreement where implemented.
+// static metadata consistency, the un-metered Sweep contract, the block
+// sweeps (native or through the per-edge fallback), and RandomAccess
+// agreement where implemented.
 
 import (
 	"os"
@@ -427,6 +428,81 @@ func TestConformanceFiltered(t *testing.T) {
 	runConformance(t, func(t *testing.T) Source {
 		return NewFilter(NewEdgeStream(g), func(_ int, e graph.Edge) bool { return e.W >= 4 })
 	}, false)
+}
+
+// perEdgeOnly has no block methods — the shape of a test wrapper that
+// embeds a Source — so every block helper takes the per-edge fallback.
+// It forwards point lookups too, so a Concat over it still serves Edge.
+type perEdgeOnly struct {
+	Source
+	RandomAccess
+}
+
+func newPerEdgeOnly(g *graph.Graph) perEdgeOnly {
+	s := NewEdgeStream(g)
+	return perEdgeOnly{s, s}
+}
+
+func TestConformancePerEdgeOnly(t *testing.T) {
+	g := conformanceGraph()
+	runConformance(t, func(t *testing.T) Source {
+		s := newPerEdgeOnly(g)
+		if _, ok := Source(s).(BlockSweeper); ok {
+			t.Fatal("per-edge-only wrapper has block methods")
+		}
+		return s
+	}, true)
+}
+
+func TestConformanceFilteredPerEdgeOnly(t *testing.T) {
+	g := conformanceGraph()
+	runConformance(t, func(t *testing.T) Source {
+		return NewFilter(newPerEdgeOnly(g), func(_ int, e graph.Edge) bool { return e.W >= 4 })
+	}, false)
+}
+
+func TestConformanceConcatPerEdgeOnly(t *testing.T) {
+	g := conformanceGraph()
+	runConformance(t, func(t *testing.T) Source {
+		c, err := Concat(newPerEdgeOnly(g), NewEdgeStream(g), newPerEdgeOnly(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}, true)
+}
+
+// TestConformanceConcatGenFile composes two native block backends that
+// both decode into per-sweep scratch: a live generator shard and an
+// RBG2 file shard spanning several frames, on the same capacities.
+func TestConformanceConcatGenFile(t *testing.T) {
+	spec := GenSpec{N: 50, M: genBlockEdges + 17,
+		Weights: graph.WeightConfig{Mode: graph.UniformWeights, WMax: 9}, Seed: 5, BMax: 3}
+	probe, err := NewGen(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.GNM(spec.N, 2*bin2BlockLen+33, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 12}, 7)
+	for v := 0; v < g.N(); v++ {
+		g.SetB(v, probe.B(v))
+	}
+	path := bin2Fixture(t, NewEdgeStream(g))
+	runConformance(t, func(t *testing.T) Source {
+		gen, err := NewGen(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := OpenBinary(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { file.Close() })
+		c, err := Concat(gen, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}, true)
 }
 
 func TestConcatRejectsMismatches(t *testing.T) {

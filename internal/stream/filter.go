@@ -2,7 +2,6 @@ package stream
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -19,20 +18,36 @@ import (
 // on its own machine, and the driver charges the parent once per
 // conceptual round, not once per level.
 type Filtered struct {
-	meter
+	sweeps
 	parent Source
-	keep   func(idx int, e graph.Edge) bool
 
 	lenOnce sync.Once
-	length  int64
+	length  int
 }
 
 var _ Source = (*Filtered)(nil)
 
 // NewFilter returns the view of parent restricted to edges with
 // keep(idx, e) == true. keep must be pure and safe for concurrent calls.
+// Each parent block is split into the maximal runs of kept edges and
+// every run is delivered as a zero-copy sub-slice, so the sparse-index
+// subsequence still arrives as dense blocks.
 func NewFilter(parent Source, keep func(idx int, e graph.Edge) bool) *Filtered {
-	return &Filtered{parent: parent, keep: keep}
+	return &Filtered{parent: parent, sweeps: sweeps{
+		blocks: func(f func(base int, edges []graph.Edge) bool) {
+			SweepBlocks(parent, func(base int, edges []graph.Edge) bool {
+				return filterBlocks(base, edges, keep, f)
+			})
+		},
+		shards: func(workers int, f func(base int, edges []graph.Edge)) {
+			SweepBlocksParallel(parent, workers, func(base int, edges []graph.Edge) {
+				filterBlocks(base, edges, keep, func(b int, blk []graph.Edge) bool {
+					f(b, blk)
+					return true
+				})
+			})
+		},
+	}}
 }
 
 // N returns the number of vertices.
@@ -48,81 +63,10 @@ func (s *Filtered) TotalB() int { return s.parent.TotalB() }
 // counts them with one raw sweep of the parent and caches the result.
 func (s *Filtered) Len() int {
 	s.lenOnce.Do(func() {
-		var cnt int64
-		s.parent.Sweep(func(idx int, e graph.Edge) bool {
-			if s.keep(idx, e) {
-				cnt++
-			}
-			return true
-		})
-		atomic.StoreInt64(&s.length, cnt)
-	})
-	return int(atomic.LoadInt64(&s.length))
-}
-
-// ForEach performs one pass over the matching edges in parent order.
-// Returning false aborts the pass (it still counts as a pass).
-func (s *Filtered) ForEach(f func(idx int, e graph.Edge) bool) {
-	s.pass()
-	s.Sweep(f)
-}
-
-// Sweep is ForEach without the pass charge (Source contract).
-func (s *Filtered) Sweep(f func(idx int, e graph.Edge) bool) {
-	s.parent.Sweep(func(idx int, e graph.Edge) bool {
-		if !s.keep(idx, e) {
-			return true
-		}
-		return f(idx, e)
-	})
-}
-
-// ForEachParallel performs one pass over the matching edges, sharded by
-// the parent. Counts one pass for any worker count (Source contract).
-func (s *Filtered) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
-	s.pass()
-	s.SweepParallel(workers, f)
-}
-
-// SweepParallel is ForEachParallel without the pass charge.
-func (s *Filtered) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
-	s.parent.SweepParallel(workers, func(idx int, e graph.Edge) {
-		if s.keep(idx, e) {
-			f(idx, e)
-		}
-	})
-}
-
-// ForEachBlocks performs one metered pass over the matching edges in
-// dense blocks (BlockSweeper contract): each parent block is split
-// into the maximal runs of kept edges and every run is delivered as a
-// zero-copy sub-slice, so the sparse-index subsequence still arrives
-// as dense blocks.
-func (s *Filtered) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.pass()
-	s.SweepBlocks(f)
-}
-
-// SweepBlocks is ForEachBlocks without the pass charge.
-func (s *Filtered) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
-	SweepBlocks(s.parent, func(base int, edges []graph.Edge) bool {
-		return filterBlocks(base, edges, s.keep, f)
-	})
-}
-
-// ForEachBlocksParallel performs one metered pass over the matching
-// edges with blocks sharded by the parent (BlockSweeper contract).
-func (s *Filtered) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	s.pass()
-	s.SweepBlocksParallel(workers, f)
-}
-
-// SweepBlocksParallel is ForEachBlocksParallel without the pass charge.
-func (s *Filtered) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	SweepBlocksParallel(s.parent, workers, func(base int, edges []graph.Edge) {
-		filterBlocks(base, edges, s.keep, func(b int, blk []graph.Edge) bool {
-			f(b, blk)
+		s.blocks(func(_ int, edges []graph.Edge) bool {
+			s.length += len(edges)
 			return true
 		})
 	})
+	return s.length
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/xrand"
 )
 
@@ -23,7 +22,7 @@ import (
 // edges); deduplication would require Ω(m) memory and is exactly what
 // this backend exists to avoid.
 type GenSource struct {
-	meter
+	sweeps
 	spec   GenSpec
 	capSd  uint64
 	totalB int
@@ -61,7 +60,7 @@ func NewGen(spec GenSpec) (*GenSource, error) {
 		return nil, fmt.Errorf("stream: need n >= 2 for m=%d generated edges", spec.M)
 	}
 	s := &GenSource{spec: spec, capSd: xrand.Mix64(spec.Seed ^ 0xcab0cab0cab0cab0)}
-	s.totalB = 0
+	s.sweeps = ranged(spec.M, s.sweepRangeBlocks)
 	for v := 0; v < spec.N; v++ {
 		s.totalB += s.B(v)
 	}
@@ -103,96 +102,30 @@ func (s *GenSource) drawEdge(r *xrand.RNG) graph.Edge {
 	}
 }
 
-// sweepRange replays edges [lo, hi), regenerating the first touched
-// block's prefix (at most genBlockEdges wasted draws per call).
-func (s *GenSource) sweepRange(lo, hi int, f func(idx int, e graph.Edge) bool) {
-	for b := lo / genBlockEdges; b*genBlockEdges < hi; b++ {
-		r := s.blockRNG(b)
-		blockLo := b * genBlockEdges
-		blockHi := blockLo + genBlockEdges
-		if blockHi > s.spec.M {
-			blockHi = s.spec.M
-		}
-		for i := blockLo; i < blockHi; i++ {
-			e := s.drawEdge(r)
-			if i < lo {
-				continue
-			}
-			if i >= hi {
-				return
-			}
-			if !f(i, e) {
-				return
-			}
-		}
-	}
-}
-
 // Edge replays the i-th edge (RandomAccess; costs one block prefix).
 func (s *GenSource) Edge(i int) graph.Edge {
 	if i < 0 || i >= s.spec.M {
 		panic(fmt.Sprintf("stream: edge index %d out of range [0,%d)", i, s.spec.M))
 	}
 	var out graph.Edge
-	s.sweepRange(i, i+1, func(_ int, e graph.Edge) bool {
-		out = e
+	s.sweepRangeBlocks(i, i+1, func(_ int, edges []graph.Edge) bool {
+		out = edges[0]
 		return true
 	})
 	return out
 }
 
-// ForEach performs one replayed pass in index order. Returning false
-// aborts the pass (it still counts as a pass).
-func (s *GenSource) ForEach(f func(idx int, e graph.Edge) bool) {
-	s.pass()
-	s.Sweep(f)
-}
-
-// Sweep is ForEach without the pass charge (Source contract).
-func (s *GenSource) Sweep(f func(idx int, e graph.Edge) bool) {
-	s.sweepRange(0, s.spec.M, f)
-}
-
-// ForEachParallel performs one replayed pass sharded by edge range; each
-// worker regenerates its own blocks independently. Counts one pass for
-// any worker count (Source contract).
-func (s *GenSource) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
-	s.pass()
-	s.SweepParallel(workers, f)
-}
-
-// SweepParallel is ForEachParallel without the pass charge.
-func (s *GenSource) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
-	parallel.ForEachShard(workers, s.spec.M, func(_ int, r parallel.Range) {
-		s.sweepRange(r.Lo, r.Hi, func(idx int, e graph.Edge) bool {
-			f(idx, e)
-			return true
-		})
-	})
-}
-
-// sweepRangeBlocks replays edges [lo, hi) in dense blocks. Replay
-// blocks map one-to-one onto delivered blocks (BlockEdges equals the
-// replay granule), regenerated into scratch, which the callback must
-// not retain. The first touched block's prefix is regenerated and
-// discarded, exactly like sweepRange.
-func (s *GenSource) sweepRangeBlocks(lo, hi int, scratch []graph.Edge, f func(base int, edges []graph.Edge) bool) {
+// sweepRangeBlocks replays edges [lo, hi) in dense blocks, the
+// source's one sweep primitive. Replay blocks map one-to-one onto
+// delivered blocks (BlockEdges equals the replay granule), regenerated
+// into per-call scratch, which the callback must not retain. The first
+// touched block's prefix is regenerated and discarded (at most
+// genBlockEdges wasted draws per call). Callers keep lo <= hi <= M.
+func (s *GenSource) sweepRangeBlocks(lo, hi int, f func(base int, edges []graph.Edge) bool) {
+	scratch := make([]graph.Edge, min(genBlockEdges, hi-lo))
 	for b := lo / genBlockEdges; b*genBlockEdges < hi; b++ {
 		blockLo := b * genBlockEdges
-		blockHi := blockLo + genBlockEdges
-		if blockHi > s.spec.M {
-			blockHi = s.spec.M
-		}
-		emitLo, emitHi := blockLo, blockHi
-		if emitLo < lo {
-			emitLo = lo
-		}
-		if emitHi > hi {
-			emitHi = hi
-		}
-		if emitLo >= emitHi {
-			continue
-		}
+		emitLo, emitHi := max(blockLo, lo), min(blockLo+genBlockEdges, hi)
 		r := s.blockRNG(b)
 		for i := blockLo; i < emitLo; i++ {
 			s.drawEdge(r) // burn the block prefix to stay aligned
@@ -205,34 +138,4 @@ func (s *GenSource) sweepRangeBlocks(lo, hi int, scratch []graph.Edge, f func(ba
 			return
 		}
 	}
-}
-
-// ForEachBlocks performs one metered replayed pass in dense blocks
-// (BlockSweeper contract).
-func (s *GenSource) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.pass()
-	s.SweepBlocks(f)
-}
-
-// SweepBlocks is ForEachBlocks without the pass charge.
-func (s *GenSource) SweepBlocks(f func(base int, edges []graph.Edge) bool) {
-	s.sweepRangeBlocks(0, s.spec.M, make([]graph.Edge, genBlockEdges), f)
-}
-
-// ForEachBlocksParallel performs one metered pass with blocks sharded
-// by edge range; each worker regenerates its own blocks into its own
-// scratch (BlockSweeper contract).
-func (s *GenSource) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	s.pass()
-	s.SweepBlocksParallel(workers, f)
-}
-
-// SweepBlocksParallel is ForEachBlocksParallel without the pass charge.
-func (s *GenSource) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
-	parallel.ForEachShard(workers, s.spec.M, func(_ int, r parallel.Range) {
-		s.sweepRangeBlocks(r.Lo, r.Hi, make([]graph.Edge, genBlockEdges), func(base int, edges []graph.Edge) bool {
-			f(base, edges)
-			return true
-		})
-	})
 }

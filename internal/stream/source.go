@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/parallel"
 )
 
 // Source is the "access to data" abstraction of the paper, separated from
@@ -24,11 +25,23 @@ import (
 //
 // ForEach and ForEachParallel are the metered sweeps algorithm code must
 // use: each call counts one pass, aborted or not. Sweep and SweepParallel
-// are the raw, un-metered primitives beneath them; they exist so derived
-// views (Filtered, ConcatSource) can enumerate their parent without
-// charging the parent a pass — the view meters its own passes, matching
-// the paper's accounting where each per-level stream runs on its own
-// machine. Algorithm code should never call Sweep directly.
+// are the same sweeps without the pass charge; they exist so derived
+// views and decorators can enumerate their parent without charging the
+// parent a pass — the view meters its own passes, matching the paper's
+// accounting where each per-level stream runs on its own machine.
+// Algorithm code should never call Sweep directly.
+//
+// Inside this package a backend is only its block primitive: an
+// un-metered, in-order block sweep that can abort, plus a sharded form
+// that visits each index exactly once with no abort. The embedded
+// sweeps type derives the per-edge, block and parallel sweeps of Source
+// and BlockSweeper from those two and charges the pass, so the pass
+// meter — the resource the paper's bounds are stated in — lives in one
+// place. The storage backends (EdgeStream, FileSource, GenSource) get
+// both forms from one ranged block decoder; the views (Filtered,
+// ConcatSource) build them from their parts' block helpers. The full
+// method set stays in the interface for implementations outside this
+// package, such as source decorators, which write it by hand.
 type Source interface {
 	// N returns the number of vertices (known a priori, as is standard in
 	// semi-streaming).
@@ -72,17 +85,103 @@ type RandomAccess interface {
 	Edge(i int) graph.Edge
 }
 
-// meter is the shared pass counter backends embed. It is safe for
-// concurrent use.
-type meter struct {
-	passes int64
+// sweeps implements the eight sweep methods of Source and BlockSweeper,
+// and the pass meter behind them, once for every backend in this
+// package. A backend supplies only the two un-metered block primitives;
+// the pass charge, the per-edge adapters and the parallel forms are all
+// derived here. It is safe for concurrent use.
+type sweeps struct {
+	passes atomic.Int64
+	// blocks delivers every edge once, in index order, in dense blocks;
+	// the callback returning false aborts the sweep.
+	blocks func(f func(base int, edges []graph.Edge) bool)
+	// shards delivers every edge index exactly once, in dense blocks
+	// that may arrive concurrently from up to workers goroutines
+	// (0 = GOMAXPROCS); there is no abort.
+	shards func(workers int, f func(base int, edges []graph.Edge))
+}
+
+// ranged derives both primitives of a storage backend holding m edges
+// from one ranged block decoder: decode(lo, hi, f) delivers edges
+// [lo, hi) in dense blocks, in order, and stops when f returns false.
+// A parallel sweep is one decode call per edge-range shard, so a
+// decoder that allocates its scratch per call gives every worker its
+// own.
+func ranged(m int, decode func(lo, hi int, f func(base int, edges []graph.Edge) bool)) sweeps {
+	return sweeps{
+		blocks: func(f func(base int, edges []graph.Edge) bool) { decode(0, m, f) },
+		shards: func(workers int, f func(base int, edges []graph.Edge)) {
+			parallel.ForEachShard(workers, m, func(_ int, r parallel.Range) {
+				decode(r.Lo, r.Hi, func(base int, edges []graph.Edge) bool {
+					f(base, edges)
+					return true
+				})
+			})
+		},
+	}
 }
 
 // Passes returns how many metered passes have been consumed.
-func (m *meter) Passes() int { return int(atomic.LoadInt64(&m.passes)) }
+func (s *sweeps) Passes() int { return int(s.passes.Load()) }
 
 // pass records one consumed pass.
-func (m *meter) pass() { atomic.AddInt64(&m.passes, 1) }
+func (s *sweeps) pass() { s.passes.Add(1) }
+
+// ForEach performs one metered pass in index order; see Source.
+func (s *sweeps) ForEach(f func(idx int, e graph.Edge) bool) {
+	s.pass()
+	s.Sweep(f)
+}
+
+// Sweep is ForEach without the pass charge.
+func (s *sweeps) Sweep(f func(idx int, e graph.Edge) bool) {
+	s.blocks(func(base int, edges []graph.Edge) bool {
+		for i := range edges {
+			if !f(base+i, edges[i]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// ForEachParallel performs one metered pass sharded across workers;
+// see Source.
+func (s *sweeps) ForEachParallel(workers int, f func(idx int, e graph.Edge)) {
+	s.pass()
+	s.SweepParallel(workers, f)
+}
+
+// SweepParallel is ForEachParallel without the pass charge.
+func (s *sweeps) SweepParallel(workers int, f func(idx int, e graph.Edge)) {
+	s.shards(workers, func(base int, edges []graph.Edge) {
+		for i := range edges {
+			f(base+i, edges[i])
+		}
+	})
+}
+
+// ForEachBlocks performs one metered pass in dense blocks; see
+// BlockSweeper.
+func (s *sweeps) ForEachBlocks(f func(base int, edges []graph.Edge) bool) {
+	s.pass()
+	s.blocks(f)
+}
+
+// SweepBlocks is ForEachBlocks without the pass charge.
+func (s *sweeps) SweepBlocks(f func(base int, edges []graph.Edge) bool) { s.blocks(f) }
+
+// ForEachBlocksParallel performs one metered pass with blocks sharded
+// across workers; see BlockSweeper.
+func (s *sweeps) ForEachBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
+	s.pass()
+	s.shards(workers, f)
+}
+
+// SweepBlocksParallel is ForEachBlocksParallel without the pass charge.
+func (s *sweeps) SweepBlocksParallel(workers int, f func(base int, edges []graph.Edge)) {
+	s.shards(workers, f)
+}
 
 // Materialize reads the whole source into an in-memory graph (one metered
 // pass). It is the bridge back from the streaming world for consumers
