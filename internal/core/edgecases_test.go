@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
 )
 
 // Edge-case and stress tests for the end-to-end solver.
 
-func quickSolve(t *testing.T, g *graph.Graph, eps float64) *Result {
+func quickSolve(t *testing.T, g *graph.Graph, eps float64) *engine.Outcome {
 	t.Helper()
 	res, err := SolveGraph(g, Options{Eps: eps, P: 2, Seed: 5})
 	if err != nil {

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/stream"
 )
 
-func solveRatio(t *testing.T, g *graph.Graph, eps float64, seed uint64) (float64, *Result) {
+func solveRatio(t *testing.T, g *graph.Graph, eps float64, seed uint64) (float64, *engine.Outcome) {
 	t.Helper()
 	res, err := SolveGraph(g, Options{Eps: eps, P: 2, Seed: seed})
 	if err != nil {
@@ -120,7 +123,13 @@ func TestSolveImprovesWithSmallerEps(t *testing.T) {
 
 func TestSolveStatsAccounting(t *testing.T) {
 	g := graph.GNM(50, 400, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 30}, 41)
-	res, err := SolveGraph(g, Options{Eps: 0.25, P: 2, Seed: 43})
+	a, err := New(Options{Eps: 0.25, P: 2, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	res, err := engine.Drive(context.Background(), a, stream.NewEdgeStream(g),
+		engine.Extensions{Observer: func(engine.RoundEvent) { events++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +149,8 @@ func TestSolveStatsAccounting(t *testing.T) {
 	if st.PeakSampleEdges <= 0 || st.PeakSampleEdges > g.M()*len(st.UnionSizes)*8 {
 		t.Fatalf("peak sample edges implausible: %d", st.PeakSampleEdges)
 	}
-	if len(st.LambdaTrace) != st.SamplingRounds {
-		t.Fatalf("lambda trace %d vs rounds %d", len(st.LambdaTrace), st.SamplingRounds)
+	if events != st.SamplingRounds {
+		t.Fatalf("observer saw %d round events vs %d sampling rounds", events, st.SamplingRounds)
 	}
 }
 

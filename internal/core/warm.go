@@ -53,9 +53,10 @@ type WarmZSet struct {
 	Val     float64
 }
 
-// snapshotDuals copies the run's final dual state into a detached
-// WarmDuals. Nil when the run aborted before the state existed.
-func (a *dualPrimal) snapshotDuals() *WarmDuals {
+// Warm copies the last run's final dual state into a detached
+// WarmDuals, ready for a later SetWarm. Nil before any run, after Reset,
+// and when the run aborted before the state existed.
+func (a *DualPrimal) Warm() *WarmDuals {
 	st := a.state
 	if st == nil || a.scheme == nil {
 		return nil
@@ -74,10 +75,10 @@ func (a *dualPrimal) snapshotDuals() *WarmDuals {
 			w.X[v*st.nl+k] = val * st.scale
 		}
 	}
-	// All member lists share one backing array: the snapshot runs on
-	// every dual-primal solve (the Result contract is that Warm is
-	// always installable later), so its own allocation count must stay
-	// O(1) in the number of odd sets.
+	// All member lists share one backing array: the facade snapshots
+	// every dual-primal solve (a public Result's duals are always
+	// installable later), so its own allocation count must stay O(1) in
+	// the number of odd sets.
 	total := 0
 	live := 0
 	for _, zs := range st.zsets {
@@ -128,7 +129,7 @@ func (w *WarmDuals) install(st *dualState) {
 			continue
 		}
 		// The member list is aliased, not copied: both the snapshot and
-		// the state treat members as immutable, and snapshotDuals copies
+		// the state treat members as immutable, and Warm copies
 		// outward, so the sharing is never observable.
 		st.addZSet(z.Members, z.Level, z.Val)
 	}

@@ -73,23 +73,23 @@ func catchStreamPanics(f func() error) (err error) {
 //     "best so far" may legitimately be an empty matching.
 //   - Reset prepares the same instance for another driven run: it clears
 //     every per-run field (results, duals, convergence flags) while
-//     *retaining* reusable scratch capacity, and absorbs the session's
-//     Params again (a factory-fresh instance and a Reset one must be
-//     indistinguishable to Init). Two contracts follow. Identity: solve →
-//     Reset → solve is bit-identical to two cold solves, including every
-//     resource meter — retained capacity must never surface as live words.
-//     No aliasing: state reachable from a previously returned Outcome
-//     (the matching's index slices above all) must not be mutated by the
-//     next run; scratch that would alias a result is released, not
-//     retained. The instance size n is not a Reset input — it is
-//     rediscovered from the Source at Init, so one session can serve
-//     instances of different shapes (reuse simply pays allocation again
-//     when the shape grows).
+//     *retaining* reusable scratch capacity. Configuration is fixed when
+//     the algorithm is constructed, so a factory-fresh instance and a
+//     Reset one must be indistinguishable to Init. Two contracts follow.
+//     Identity: solve → Reset → solve is bit-identical to two cold
+//     solves, including every resource meter — retained capacity must
+//     never surface as live words. No aliasing: state reachable from a
+//     previously returned Outcome (the matching's index slices above
+//     all) must not be mutated by the next run; scratch that would alias
+//     a result is released, not retained. The instance size n is not a
+//     Reset input — it is rediscovered from the Source at Init, so one
+//     session can serve instances of different shapes (reuse simply pays
+//     allocation again when the shape grows).
 type Algorithm interface {
 	Init(ctx context.Context, run *Run, src stream.Source) error
 	Round(ctx context.Context, run *Run) (done bool, err error)
 	Finish(run *Run) (*matching.Matching, Extras)
-	Reset(p Params)
+	Reset()
 }
 
 // Run owns the resource machinery of one driven solve: the space
@@ -178,9 +178,9 @@ func (r *Run) Check() error {
 	return nil
 }
 
-// Extras carries the algorithm-specific outcome fields beyond the
-// matching itself. Algorithms without a dual leave the dual fields zero;
-// CertifiedUpperBound then reports +Inf, which is honest.
+// Extras carries the outcome fields beyond the matching itself.
+// Algorithms without a dual leave the dual fields zero; a certified
+// upper bound then reports +Inf, which is honest.
 type Extras struct {
 	// Weight is the matching's weight in original units.
 	Weight float64
@@ -190,23 +190,65 @@ type Extras struct {
 	// Lambda is the final minimum normalized coverage over kept edges (0
 	// when the algorithm computes no dual).
 	Lambda float64
-	// EarlyStopped reports whether the algorithm converged before its
-	// round cap.
-	EarlyStopped bool
+	// Stats meters the run. The algorithm reports EarlyStopped and its
+	// own counters; the driver fills in SamplingRounds, Passes and
+	// PeakWords.
+	Stats Stats
 }
 
-// Outcome is what the driver settles a run into: the best matching, the
-// algorithm extras, and the resource meters the Run accumulated.
+// Stats reports the resources a solve actually consumed — the
+// quantities the paper's theorems bound. The driver's meters (rounds,
+// passes, peak words) are filled for every algorithm, so
+// cross-algorithm rows compare like for like; the dual-primal counters
+// stay zero for algorithms that have no such machinery. All fields
+// marshal to JSON. The per-round λ/β trajectory is not stored here; an
+// Extensions.Observer streams it.
+type Stats struct {
+	// SamplingRounds is the number of adaptive access rounds (Theorem 15
+	// bounds it by O(p/ε)).
+	SamplingRounds int `json:"samplingRounds"`
+	// InitRounds is the rounds consumed by the per-level initial
+	// solution (Lemma 20).
+	InitRounds int `json:"initRounds"`
+	// OracleUses counts sequential deferred-sparsifier uses — the
+	// "adaptivity at use" the paper separates from data access.
+	OracleUses int `json:"oracleUses"`
+	// MicroCalls counts MicroOracle invocations.
+	MicroCalls int `json:"microCalls"`
+	// PackIters counts inner packing iterations.
+	PackIters int `json:"packIters"`
+	// Passes is the metered passes over the input Source.
+	Passes int `json:"passes"`
+	// PeakSampleEdges is the peak count of sampled edges held centrally.
+	PeakSampleEdges int `json:"peakSampleEdges"`
+	// PeakWords is the high-water mark of metered central storage.
+	PeakWords int `json:"peakWords"`
+	// DualStateWords is the final size of the dual state.
+	DualStateWords int `json:"dualStateWords"`
+	// UnionSizes lists, per sampling round, the offline-solve union size.
+	UnionSizes []int `json:"unionSizes,omitempty"`
+	// WitnessEvents counts MicroOracle part (i) firings.
+	WitnessEvents int `json:"witnessEvents"`
+	// EarlyStopped reports whether the algorithm converged before its
+	// round cap (for the dual-primal solver: the dual certificate
+	// reached its target).
+	EarlyStopped bool `json:"earlyStopped"`
+	// WarmStarted reports that the solve installed a prior solution's
+	// dual snapshot instead of building the initial solution; a
+	// requested-but-invalid snapshot falls back to the cold start and
+	// reports false.
+	WarmStarted bool `json:"warmStarted"`
+	// RoundOfBestMatching is the 1-based sampling round in which the
+	// reported matching was found.
+	RoundOfBestMatching int `json:"roundOfBestMatching"`
+}
+
+// Outcome is what the driver settles a run into: the best matching and
+// the extras, whose Stats carry the meters the Run accumulated.
 type Outcome struct {
 	// Matching is the best matching found (never nil; possibly empty).
 	Matching *matching.Matching
 	Extras
-	// Rounds is how many rounds the loop ran.
-	Rounds int
-	// Passes is the metered passes consumed over the input Source.
-	Passes int
-	// PeakWords is the high-water mark of metered central storage.
-	PeakWords int
 }
 
 // Drive runs alg under the shared round loop: cancellation is honored at
@@ -220,15 +262,13 @@ type Outcome struct {
 // runs surrender the certificate: Lambda is zeroed and only the primal
 // matching is the contract. The Outcome is non-nil on every path.
 func Drive(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions) (*Outcome, error) {
-	return DriveArena(ctx, alg, src, ext, NewArena())
+	return driveArena(ctx, alg, src, ext, NewArena())
 }
 
-// DriveArena is Drive with the scratch arena supplied by the caller —
-// the session entry point (engine.Session for registry algorithms,
-// core's dual-primal session for the rich-result path). The arena
-// changes where working buffers' backing memory comes from and nothing
-// else.
-func DriveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions, arena *Arena) (*Outcome, error) {
+// driveArena is Drive with the scratch arena supplied by the caller —
+// the Session entry point. The arena changes where working buffers'
+// backing memory comes from and nothing else.
+func driveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Extensions, arena *Arena) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -260,9 +300,9 @@ func DriveArena(ctx context.Context, alg Algorithm, src stream.Source, ext Exten
 			out.Matching = m
 		}
 		out.Extras = ex
-		out.Rounds = run.rounds
-		out.Passes = run.Passes()
-		out.PeakWords = run.Acct.Peak()
+		out.Stats.SamplingRounds = run.rounds
+		out.Stats.Passes = run.Passes()
+		out.Stats.PeakWords = run.Acct.Peak()
 		if err != nil {
 			var be *BudgetError
 			if !errors.As(err, &be) {

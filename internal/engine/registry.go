@@ -65,6 +65,19 @@ func Register(info Info, f Factory) {
 	registry[info.Name] = registration{info: info, factory: f}
 }
 
+// New builds a fresh instance of the named registry algorithm.
+func New(name string, p Params) (Algorithm, error) {
+	reg, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("engine: unknown algorithm %q (registered: %s)", name, Names())
+	}
+	alg, err := reg.factory(p)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return alg, nil
+}
+
 // Lookup returns the registration for name.
 func Lookup(name string) (Info, Factory, bool) {
 	reg, ok := registry[name]

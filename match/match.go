@@ -116,14 +116,21 @@ type Solver struct {
 	cache  *sessionCache
 }
 
-// sessionCache holds the Solver's reusable sessions behind a mutex.
+// sessionCache holds the Solver's reusable session behind a mutex.
 // Acquisition uses TryLock: the point of the cache is saved allocation,
 // never serialization, so a busy cache yields a fresh session instead
 // of a wait.
 type sessionCache struct {
 	mu   sync.Mutex
-	core *core.Session
-	eng  *engine.Session
+	sess *session
+}
+
+// session is one reusable solve lifecycle: the engine session, plus a
+// handle on the dual-primal solver it wraps for installing and
+// snapshotting warm duals (nil for the other registry algorithms).
+type session struct {
+	eng *engine.Session
+	dp  *core.DualPrimal
 }
 
 // New builds a Solver from functional options; unspecified knobs take
@@ -186,14 +193,10 @@ func (s *Solver) Algorithm() string { return s.algo }
 func (s *Solver) RetainedWords() int {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
-	w := 0
-	if s.cache.core != nil {
-		w += s.cache.core.RetainedWords()
+	if s.cache.sess == nil {
+		return 0
 	}
-	if s.cache.eng != nil {
-		w += s.cache.eng.RetainedWords()
-	}
-	return w
+	return s.cache.sess.eng.RetainedWords()
 }
 
 // Solve runs the configured algorithm over src — the dual-primal solver
@@ -238,92 +241,68 @@ func (s *Solver) Solve(ctx context.Context, src Source, extra ...Option) (*Resul
 		}
 		run = &c
 	}
-	var hook func(core.RoundEvent)
+	var hook func(RoundEvent)
 	if run.obs != nil {
-		obs := run.obs
-		hook = func(ev core.RoundEvent) { obs.OnRound(ev) }
+		hook = run.obs.OnRound
 	}
 	ext := engine.Extensions{Budget: run.budget, Observer: hook}
 	// The cached session is usable when the session-defining
 	// configuration is the base Solver's (budget, observer and warm
 	// duals are per-run inputs, not session state).
-	cacheable := run.algo == s.algo && run.opt == s.opt
-	if run.algo == DefaultAlgorithm {
-		// The dual-primal path keeps its dedicated session type so the
-		// full Options (including the constant-regime Profile) reach the
-		// solver and the rich per-substrate Stats survive; it runs under
-		// the same engine driver as every registry algorithm.
-		sess, release, err := s.acquireCore(run.opt, cacheable)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		res, err := sess.Solve(ctx, src, ext, run.warm)
-		if res == nil {
-			return nil, err
-		}
-		return fromCore(res, run.opt.Eps), err
-	}
-	sess, release, err := s.acquireEngine(run.algo, run.params(), cacheable)
+	sess, release, err := s.acquire(run, run.algo == s.algo && run.opt == s.opt)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	out, err := sess.Solve(ctx, src, ext)
-	if out == nil {
+	if sess.dp != nil {
+		sess.dp.SetWarm(run.warm)
+	}
+	out, err := sess.eng.Solve(ctx, src, ext)
+	res := fromOutcome(out, run.opt.Eps)
+	if sess.dp != nil {
+		res.warm = sess.dp.Warm()
+	}
+	return res, err
+}
+
+// newSession builds a session for the configured algorithm. The
+// dual-primal solver is constructed from the full Options, so the
+// constant-regime Profile reaches it; other algorithms come from the
+// registry's model-agnostic Params.
+func (s *Solver) newSession() (*session, error) {
+	if s.algo == DefaultAlgorithm {
+		dp, err := core.New(s.opt)
+		if err != nil {
+			return nil, err
+		}
+		return &session{eng: engine.NewSession(dp), dp: dp}, nil
+	}
+	alg, err := engine.New(s.algo, engine.Params{Eps: s.opt.Eps, P: s.opt.P, Seed: s.opt.Seed,
+		Workers: s.opt.Workers, MaxRounds: s.opt.MaxRounds})
+	if err != nil {
 		return nil, err
 	}
-	return fromOutcome(out, run.opt.Eps), err
+	return &session{eng: engine.NewSession(alg)}, nil
 }
 
-// params maps the Solver configuration onto the registry's
-// model-agnostic parameter set.
-func (s *Solver) params() engine.Params {
-	return engine.Params{Eps: s.opt.Eps, P: s.opt.P, Seed: s.opt.Seed,
-		Workers: s.opt.Workers, MaxRounds: s.opt.MaxRounds}
-}
-
-// acquireCore hands out the cached dual-primal session (creating it on
-// first use) when the configuration allows and no other solve holds it;
-// otherwise a fresh throwaway session. The release func must be called
-// once the solve is done.
-func (s *Solver) acquireCore(opt core.Options, cacheable bool) (*core.Session, func(), error) {
+// acquire hands out the cached session for run's configuration
+// (creating it on first use) when cacheable and no other solve holds
+// it; otherwise a fresh throwaway session. The release func must be
+// called once the solve is done.
+func (s *Solver) acquire(run *Solver, cacheable bool) (*session, func(), error) {
 	if cacheable && s.cache != nil && s.cache.mu.TryLock() {
-		if s.cache.core == nil {
-			sess, err := core.NewSession(opt)
+		if s.cache.sess == nil {
+			sess, err := run.newSession()
 			if err != nil {
 				s.cache.mu.Unlock()
 				return nil, nil, err
 			}
-			s.cache.core = sess
+			s.cache.sess = sess
 		}
-		return s.cache.core, s.cache.mu.Unlock, nil
+		return s.cache.sess, s.cache.mu.Unlock, nil
 	}
-	sess, err := core.NewSession(opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess, func() {}, nil
-}
-
-// acquireEngine is acquireCore for registry algorithms.
-func (s *Solver) acquireEngine(algo string, p engine.Params, cacheable bool) (*engine.Session, func(), error) {
-	if cacheable && s.cache != nil && s.cache.mu.TryLock() {
-		if s.cache.eng == nil {
-			sess, err := engine.NewSession(algo, p)
-			if err != nil {
-				s.cache.mu.Unlock()
-				return nil, nil, err
-			}
-			s.cache.eng = sess
-		}
-		return s.cache.eng, s.cache.mu.Unlock, nil
-	}
-	sess, err := engine.NewSession(algo, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess, func() {}, nil
+	sess, err := run.newSession()
+	return sess, func() {}, err
 }
 
 // Solve is the one-shot convenience path — match.New plus Solver.Solve

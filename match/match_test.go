@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/stream"
 	"repro/match"
@@ -90,10 +92,18 @@ func TestSolveDegenerateSourceNonNilResult(t *testing.T) {
 	}
 }
 
+// TestObserverSubsumesTraces pins the facade observer to the engine's:
+// the λ/β trajectory a match.Observer sees is exactly the one an
+// engine observer sees on a direct engine.Drive of the same solver.
 func TestObserverSubsumesTraces(t *testing.T) {
 	g := graph.GNM(48, 300, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 20}, 55)
-	ref, err := core.Solve(stream.NewEdgeStream(g), core.Options{Eps: 0.25, P: 2, Seed: 3, Workers: 1})
+	alg, err := core.New(core.Options{Eps: 0.25, P: 2, Seed: 3, Workers: 1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []engine.RoundEvent
+	if _, err := engine.Drive(context.Background(), alg, stream.NewEdgeStream(g),
+		engine.Extensions{Observer: func(ev engine.RoundEvent) { ref = append(ref, ev) }}); err != nil {
 		t.Fatal(err)
 	}
 	trace := &match.TraceObserver{}
@@ -116,14 +126,23 @@ func TestObserverSubsumesTraces(t *testing.T) {
 			t.Fatalf("event %d carries empty meters: %+v", i, ev)
 		}
 	}
-	// The observer reconstructs the engine's historical trace slices
-	// exactly — it subsumes them.
-	if !reflect.DeepEqual(trace.Lambdas(), ref.Stats.LambdaTrace) {
-		t.Errorf("observer lambdas differ from the engine's LambdaTrace\nobs: %v\nref: %v",
-			trace.Lambdas(), ref.Stats.LambdaTrace)
+	refLambdas := make([]float64, len(ref))
+	refBetas := make([]float64, len(ref))
+	for i, ev := range ref {
+		refLambdas[i], refBetas[i] = ev.Lambda, ev.Beta
 	}
-	if !reflect.DeepEqual(trace.Betas(), ref.Stats.BetaTrace) {
-		t.Errorf("observer betas differ from the engine's BetaTrace")
+	if !reflect.DeepEqual(trace.Lambdas(), refLambdas) {
+		t.Errorf("observer lambdas differ from the engine's\nobs: %v\nref: %v", trace.Lambdas(), refLambdas)
+	}
+	if !reflect.DeepEqual(trace.Betas(), refBetas) {
+		t.Errorf("observer betas differ from the engine's\nobs: %v\nref: %v", trace.Betas(), refBetas)
+	}
+}
+
+func TestCertifiedUpperBoundInfWhenNoLambda(t *testing.T) {
+	r := &match.Result{Lambda: 0, DualObjective: 5, Eps: 0.25}
+	if b := r.CertifiedUpperBound(); !math.IsInf(b, 1) {
+		t.Fatalf("bound %f should be +Inf", b)
 	}
 }
 

@@ -1,18 +1,17 @@
 package match
 
-import "repro/internal/core"
+import "repro/internal/engine"
 
 // RoundEvent is the per-round snapshot an Observer receives: the dual
 // trajectory (λ entering the round, the primal target β) and the
 // resource meters (passes consumed, peak central words) at that point.
-type RoundEvent = core.RoundEvent
+type RoundEvent = engine.RoundEvent
 
 // Observer receives one RoundEvent per adaptive sampling round, at the
 // start of the round, in strictly increasing Round order (Round is
 // 1-based). Events are delivered synchronously from the solving
-// goroutine — OnRound must not block — and subsume the historical
-// LambdaTrace/BetaTrace slices: collecting ev.Lambda and ev.Beta per
-// event reconstructs them exactly.
+// goroutine — OnRound must not block — and are the only record of the
+// per-round λ/β trajectory: collect ev.Lambda and ev.Beta per event.
 type Observer interface {
 	OnRound(RoundEvent)
 }
@@ -23,8 +22,7 @@ type ObserverFunc func(RoundEvent)
 // OnRound implements Observer.
 func (f ObserverFunc) OnRound(ev RoundEvent) { f(ev) }
 
-// TraceObserver accumulates the per-round λ/β trajectory — a drop-in
-// replacement for reading the old trace slices off Stats.
+// TraceObserver accumulates the per-round λ/β trajectory.
 type TraceObserver struct {
 	// Events holds every RoundEvent in delivery order.
 	Events []RoundEvent
@@ -33,7 +31,7 @@ type TraceObserver struct {
 // OnRound implements Observer.
 func (t *TraceObserver) OnRound(ev RoundEvent) { t.Events = append(t.Events, ev) }
 
-// Lambdas returns the per-round λ values (the old LambdaTrace).
+// Lambdas returns the per-round λ values.
 func (t *TraceObserver) Lambdas() []float64 {
 	out := make([]float64, len(t.Events))
 	for i, ev := range t.Events {
@@ -42,7 +40,7 @@ func (t *TraceObserver) Lambdas() []float64 {
 	return out
 }
 
-// Betas returns the per-round β values (the old BetaTrace).
+// Betas returns the per-round β values.
 func (t *TraceObserver) Betas() []float64 {
 	out := make([]float64, len(t.Events))
 	for i, ev := range t.Events {

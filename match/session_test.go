@@ -9,6 +9,7 @@ package match_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -226,4 +227,70 @@ func TestWarmStartInvalidFallsBackCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "dual-free-prev", cold, fromGreedy)
+}
+
+// TestWarmRequestDoesNotLeak pins that a warm start covers one solve:
+// on one Solver, a WithInitialDuals solve followed by a plain solve
+// leaves the plain solve cold and bit-identical to a fresh Solver's.
+// Switching the same Solver to a per-call registry algorithm and back
+// must not disturb its cached session either.
+func TestWarmRequestDoesNotLeak(t *testing.T) {
+	ctx := context.Background()
+	g := graph.GNM(48, 320, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 25}, 41)
+	opts := []match.Option{match.WithSeed(13), match.WithWorkers(1), match.WithEps(0.3)}
+	coldSolve := func(extra ...match.Option) *match.Result {
+		t.Helper()
+		solver, err := match.New(append(append([]match.Option{}, opts...), extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := solver.Solve(ctx, stream.NewEdgeStream(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := coldSolve()
+	coldGreedy := coldSolve(match.WithAlgorithm("greedy"))
+
+	solver, err := match.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := solver.Solve(ctx, stream.NewEdgeStream(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "first", cold, prev)
+	warm, err := solver.Solve(ctx, stream.NewEdgeStream(g), match.WithInitialDuals(prev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Stats.WarmStarted {
+		t.Fatal("warm solve did not install the snapshot")
+	}
+	plain, err := solver.Solve(ctx, stream.NewEdgeStream(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats.WarmStarted {
+		t.Error("plain solve after a warm one reports WarmStarted: the request leaked")
+	}
+	assertSameResult(t, "plain after warm", cold, plain)
+
+	for i, step := range []struct {
+		extra []match.Option
+		want  *match.Result
+	}{
+		{[]match.Option{match.WithAlgorithm("greedy")}, coldGreedy},
+		{nil, cold},
+		{[]match.Option{match.WithAlgorithm("greedy")}, coldGreedy},
+		{[]match.Option{match.WithAlgorithm(match.DefaultAlgorithm)}, cold},
+	} {
+		got, err := solver.Solve(ctx, stream.NewEdgeStream(g), step.extra...)
+		if err != nil {
+			t.Fatalf("switch step %d: %v", i, err)
+		}
+		assertSameResult(t, fmt.Sprintf("switch step %d", i), step.want, got)
+	}
 }
