@@ -95,9 +95,14 @@ bench-allocs:
 	$(GO) test -run='^TestMiniOracleAllocs$$' -v ./internal/core/
 
 # Profile the two dominant experiments (EA, E14) so the next perf PR
-# starts from data; see "Profile snapshot" in EXPERIMENTS.md.
+# starts from data; see "Profile snapshot" in EXPERIMENTS.md. Then
+# profile the repo benchmark's cold-solve op (match package).
 bench-profile:
 	$(GO) test -run=^$$ -bench='BenchmarkEAblations|BenchmarkE14Workers' \
 		-benchtime=1x -cpuprofile=cpu.pprof -memprofile=mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 repro.test cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space repro.test mem.pprof
+	$(GO) test -run=^$$ -bench='BenchmarkSolveColdGNM256' \
+		-benchtime=3x -cpuprofile=cold.cpu.pprof -memprofile=cold.mem.pprof ./match/
+	$(GO) tool pprof -top -nodecount=10 match.test cold.cpu.pprof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space match.test cold.mem.pprof

@@ -117,6 +117,7 @@ type DualPrimal struct {
 	mKept      float64
 	liveLevels []int
 	levelCount []int // arena-backed
+	keptEdges  int   // Σ levelCount: the edges any round can sample
 
 	// The (use, level) job grid of one sampling round, fixed across
 	// rounds: job (q, slot) owns the deferred construction for use q at
@@ -147,12 +148,15 @@ type DualPrimal struct {
 	ufScratch *sparsify.Scratch
 	scratch   *oracleScratch // refine + oracle-loop working buffers
 
-	// Trajectory and best-so-far primal state.
+	// Trajectory and best-so-far primal state. fullSolved records that
+	// a round of this run has already run the offline solve on the full
+	// kept edge set; see Round.
 	lambda     float64
 	beta       float64
 	bestHat    float64
 	bestWeight float64
 	best       *matching.Matching
+	fullSolved bool
 }
 
 type defJob struct{ q, slot, k int }
@@ -231,6 +235,7 @@ func (a *DualPrimal) Reset() {
 	a.lambda, a.beta = 0, 0
 	a.bestHat, a.bestWeight = 0, 0
 	a.best = nil
+	a.fullSolved = false
 }
 
 // SetWarm requests a warm start for the next run from a prior
@@ -312,9 +317,11 @@ func (a *DualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 		return true
 	})
 	a.liveLevels = a.liveLevels[:0]
+	a.keptEdges = 0
 	for k, cnt := range a.levelCount {
 		if cnt > 0 {
 			a.liveLevels = append(a.liveLevels, k)
+			a.keptEdges += cnt
 		}
 	}
 	if err := run.Check(); err != nil {
@@ -593,10 +600,60 @@ func (a *DualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	a.union, a.unionTmp = sortByOrig(a.union, a.unionTmp)
 	a.union = slices.CompactFunc(a.union, func(x, y unionEdge) bool { return x.orig == y.orig })
 	a.stats.UnionSizes = append(a.stats.UnionSizes, len(a.union))
+	// A union holding every kept edge repeats a set an earlier round of
+	// this run already solved; solving it again cannot change anything
+	// (see solveUnion), so only the first such round solves.
+	if full := len(a.union) == a.keptEdges; !full || !a.fullSolved {
+		a.fullSolved = a.fullSolved || full
+		a.solveUnion(round)
+	}
+
+	// Sequential refinement and use of the t sparsifiers (the right
+	// half of Figure 1: no further input access).
+	for q := 0; q < a.tUses; q++ {
+		support := refineBatch(a.defs[q], a.liveLevels, scheme, state, alpha, a.lambda, a.prof.StaleRefinement, a.workers, a.scratch)
+		a.stats.OracleUses++
+		mini := runMiniOracle(support, a.beta, eps, a.prof, a.bOf, wHat, a.nl, a.maxNorm, a.scratch)
+		a.stats.MicroCalls += mini.microCalls
+		a.stats.PackIters += mini.packIters
+		if mini.matchingWitness {
+			a.stats.WitnessEvents++
+			a.beta *= 1 + eps
+			continue
+		}
+		if !mini.answer.isZero() {
+			state.Average(sigma, &mini.answer)
+		}
+	}
+	// Every sparsifier of the round is consumed: hand their pooled
+	// containers (items, indexes, refinement buffers) back for the next
+	// round's constructions. The freed words below are the same words a
+	// cold round frees — pooling never touches the accountant.
+	for _, d := range a.defBuf {
+		d.Release()
+	}
+	acct.Free(sampledTotal)
+
+	a.lambda = lambdaOf(src, scheme, state) // pass: λ re-evaluation
+	if err := run.Check(); err != nil {
+		return false, err
+	}
+	return false, nil
+}
+
+// solveUnion runs the offline solve on the round's sampled union
+// (Algorithm 2 step 5) and raises β on improvement (step 6). Its result
+// depends only on the union's edge set, and a repeat of an already
+// solved set is a no-op: cand and candHat repeat, bestHat only grows and
+// already reaches that candHat, and β only grows (Init sets it, later
+// steps multiply it by 1+ε or set it to candHat·(1+ε)) so it does too.
+// Neither the best matching, β nor RoundOfBestMatching can move.
+func (a *DualPrimal) solveUnion(round int) {
+	scheme, eps, wHat := a.scheme, a.eps, a.scheme.WHat
 	sub := a.sub
 	sub.Clear()
 	for v := 0; v < a.n; v++ {
-		if b := src.B(v); b != 1 {
+		if b := a.src.B(v); b != 1 {
 			sub.SetB(v, b)
 		}
 	}
@@ -637,38 +694,6 @@ func (a *DualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	if candHat > a.beta {
 		a.beta = candHat * (1 + eps)
 	}
-
-	// Sequential refinement and use of the t sparsifiers (the right
-	// half of Figure 1: no further input access).
-	for q := 0; q < a.tUses; q++ {
-		support := refineBatch(a.defs[q], a.liveLevels, scheme, state, alpha, a.lambda, a.prof.StaleRefinement, a.workers, a.scratch)
-		a.stats.OracleUses++
-		mini := runMiniOracle(support, a.beta, eps, a.prof, a.bOf, wHat, a.nl, a.maxNorm, a.scratch)
-		a.stats.MicroCalls += mini.microCalls
-		a.stats.PackIters += mini.packIters
-		if mini.matchingWitness {
-			a.stats.WitnessEvents++
-			a.beta *= 1 + eps
-			continue
-		}
-		if !mini.answer.isZero() {
-			state.Average(sigma, &mini.answer)
-		}
-	}
-	// Every sparsifier of the round is consumed: hand their pooled
-	// containers (items, indexes, refinement buffers) back for the next
-	// round's constructions. The freed words below are the same words a
-	// cold round frees — pooling never touches the accountant.
-	for _, d := range a.defBuf {
-		d.Release()
-	}
-	acct.Free(sampledTotal)
-
-	a.lambda = lambdaOf(src, scheme, state) // pass: λ re-evaluation
-	if err := run.Check(); err != nil {
-		return false, err
-	}
-	return false, nil
 }
 
 // Finish reports the best-so-far matching and the dual fields. It is

@@ -157,21 +157,27 @@ func MaxWeightMatchingFloat(g *graph.Graph, maxCardinality bool) (*Matching, flo
 	}
 	mate, _ := MaxWeightMatching(g.N(), edges, maxCardinality)
 	// Recover the selected edge set: for each matched pair pick the
-	// heaviest edge between them (the solver works on the implicit simple
-	// graph).
-	bestIdx := make(map[uint64]int)
+	// heaviest edge between them, the first index among equals (the
+	// solver works on the implicit simple graph). pick is indexed by the
+	// pair's lower endpoint, which names the pair because it is matched.
+	pick := make([]int, g.N())
+	for v := range pick {
+		pick[v] = -1
+	}
 	for i, e := range g.Edges() {
-		k := e.Key()
-		if j, ok := bestIdx[k]; !ok || g.Edge(j).W < e.W {
-			bestIdx[k] = i
+		if mate[e.U] != e.V {
+			continue
+		}
+		lo := min(e.U, e.V)
+		if j := pick[lo]; j < 0 || g.Edge(j).W < e.W {
+			pick[lo] = i
 		}
 	}
 	var out Matching
 	totalW := 0.0
 	for v := 0; v < g.N(); v++ {
-		u := mate[v]
-		if u >= 0 && int32(v) < u {
-			idx := bestIdx[graph.KeyOf(int32(v), u)]
+		if u := mate[v]; u >= 0 && int32(v) < u {
+			idx := pick[v]
 			out.EdgeIdx = append(out.EdgeIdx, idx)
 			totalW += g.Edge(idx).W
 		}

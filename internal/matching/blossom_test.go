@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -167,12 +168,34 @@ func TestBlossomFloatRecoversPlanted(t *testing.T) {
 }
 
 func TestBlossomParallelEdges(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 3)
-	g.MustAddEdge(0, 1, 7)
-	m, w := MaxWeightMatchingFloat(g, false)
-	if w != 7 || len(m.EdgeIdx) != 1 || g.Edge(m.EdgeIdx[0]).W != 7 {
-		t.Fatalf("parallel edges: w=%f m=%v", w, m.EdgeIdx)
+	// The matched pair's heaviest edge is reported, and among equally
+	// heavy ones the first index wins. The second instance lists its
+	// parallel edges in both orientations.
+	for _, c := range []struct {
+		n     int
+		edges [][3]float64
+		want  []int
+		w     float64
+	}{
+		{2, [][3]float64{{0, 1, 3}, {0, 1, 7}}, []int{1}, 7},
+		{5, [][3]float64{
+			{1, 0, 4}, // 0
+			{2, 3, 6}, // 1: first of the heaviest on (2,3)
+			{0, 1, 9}, // 2: first of the heaviest on (0,1)
+			{3, 2, 6}, // 3
+			{0, 1, 9}, // 4
+			{2, 3, 5}, // 5
+			{3, 4, 1}, // 6
+		}, []int{2, 1}, 15},
+	} {
+		g := graph.New(c.n)
+		for _, e := range c.edges {
+			g.MustAddEdge(int(e[0]), int(e[1]), e[2])
+		}
+		m, w := MaxWeightMatchingFloat(g, false)
+		if !slices.Equal(m.EdgeIdx, c.want) || w != c.w {
+			t.Fatalf("n=%d: picked edges %v (weight %v), want %v (weight %v)", c.n, m.EdgeIdx, w, c.want, c.w)
+		}
 	}
 }
 

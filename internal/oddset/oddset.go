@@ -14,6 +14,7 @@
 package oddset
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -155,14 +156,18 @@ func enumFeasible(s, maxNorm int) bool {
 
 // collectExact enumerates every odd candidate set over the support and
 // greedily selects disjoint dense sets in decreasing surplus order.
+//
+// A vertex outside the support carries no charge, yet it can still
+// complete a dense odd set: it adds only its budget and its norm, so
+// {0, 6, 7} is dense when q_67 is large and q̂_0 is small even though 0
+// has no edge. Such a vertex v can sit in a dense set T ∪ S (T in the
+// support, S outside, v ∈ S) only if q̂_v < 2D + (1-ε), where D >= 0 is
+// the largest internal(T) - q̂(T)/2 over support sets T of norm at most
+// MaxNorm (budgets are non-negative). The support enumeration measures
+// D; when some outside vertex passes that test, the enumeration is
+// rerun with those vertices added, so every dense odd set is a
+// candidate and the greedy selection intersects all of them.
 func (in *Instance) collectExact(support []int) []Set {
-	type cand struct {
-		set     []int
-		surplus float64 // internal - (qhat - (1-eps))/2
-		in, qh  float64
-	}
-	var cands []cand
-	cur := make([]int, 0, in.MaxNorm)
 	// Incremental internal charge tracking via adjacency on support.
 	adj := make(map[int64]float64)
 	for _, e := range in.Edges {
@@ -171,35 +176,14 @@ func (in *Instance) collectExact(support []int) []Set {
 		k2 := int64(e.V)<<32 | int64(e.U)
 		adj[k2] += e.Q
 	}
-	var rec func(start int, norm int, internal, qhat float64)
-	rec = func(start int, norm int, internal, qhat float64) {
-		if len(cur) >= 3 && norm%2 == 1 {
-			surplus := internal - (qhat-(1-in.Eps))/2
-			if surplus > 0 {
-				cands = append(cands, cand{
-					set:     append([]int(nil), cur...),
-					surplus: surplus,
-					in:      internal,
-					qh:      qhat,
-				})
-			}
-		}
-		for si := start; si < len(support); si++ {
-			v := support[si]
-			nb := in.bnorm(v)
-			if norm+nb > in.MaxNorm {
-				continue
-			}
-			add := 0.0
-			for _, u := range cur {
-				add += adj[int64(v)<<32|int64(u)]
-			}
-			cur = append(cur, v)
-			rec(si+1, norm+nb, internal+add, qhat+in.QHat[v])
-			cur = cur[:len(cur)-1]
+	cands, gain := in.enumerateDense(support, adj)
+	if extra := in.completers(support, gain); len(extra) > 0 {
+		all := append(append([]int(nil), support...), extra...)
+		sort.Ints(all)
+		if enumFeasible(len(all), in.MaxNorm) {
+			cands, _ = in.enumerateDense(all, adj)
 		}
 	}
-	rec(0, 0, 0, 0)
 	sort.Slice(cands, func(i, j int) bool { return cands[i].surplus > cands[j].surplus })
 	used := make(map[int]bool)
 	var out []Set
@@ -218,6 +202,71 @@ func (in *Instance) collectExact(support []int) []Set {
 			used[v] = true
 		}
 		out = append(out, Set{Members: c.set, Internal: c.in, QHatSum: c.qh})
+	}
+	return out
+}
+
+// denseCand is one dense odd set found by enumerateDense.
+type denseCand struct {
+	set     []int
+	surplus float64 // internal - (qhat - (1-eps))/2
+	in, qh  float64
+}
+
+// enumerateDense lists every dense odd set of at least three vertices
+// drawn from verts, and returns with it the largest internal(T) -
+// q̂(T)/2 over all subsets T of verts within the norm bound (the empty
+// set included, so it is at least 0).
+func (in *Instance) enumerateDense(verts []int, adj map[int64]float64) ([]denseCand, float64) {
+	var cands []denseCand
+	gain := 0.0
+	cur := make([]int, 0, in.MaxNorm)
+	var rec func(start int, norm int, internal, qhat float64)
+	rec = func(start int, norm int, internal, qhat float64) {
+		gain = max(gain, internal-qhat/2)
+		if len(cur) >= 3 && norm%2 == 1 {
+			surplus := internal - (qhat-(1-in.Eps))/2
+			if surplus > 0 {
+				cands = append(cands, denseCand{
+					set:     append([]int(nil), cur...),
+					surplus: surplus,
+					in:      internal,
+					qh:      qhat,
+				})
+			}
+		}
+		for si := start; si < len(verts); si++ {
+			v := verts[si]
+			nb := in.bnorm(v)
+			if norm+nb > in.MaxNorm {
+				continue
+			}
+			add := 0.0
+			for _, u := range cur {
+				add += adj[int64(v)<<32|int64(u)]
+			}
+			cur = append(cur, v)
+			rec(si+1, norm+nb, internal+add, qhat+in.QHat[v])
+			cur = cur[:len(cur)-1]
+		}
+	}
+	rec(0, 0, 0, 0)
+	return cands, gain
+}
+
+// completers lists the vertices outside the sorted support whose budget
+// is small enough to complete a dense odd set, given the support's
+// largest internal(T) - q̂(T)/2 (see collectExact).
+func (in *Instance) completers(support []int, gain float64) []int {
+	bound := 2*gain + (1 - in.Eps)
+	var out []int
+	for v := 0; v < in.N; v++ {
+		if in.QHat[v] >= bound {
+			continue
+		}
+		if _, found := slices.BinarySearch(support, v); !found {
+			out = append(out, v)
+		}
 	}
 	return out
 }

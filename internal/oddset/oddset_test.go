@@ -50,41 +50,56 @@ func TestCollectDisjointAndConditionI(t *testing.T) {
 	}
 }
 
-func TestCollectExactCoversAllDenseSets(t *testing.T) {
-	// Condition (ii): every dense odd set must intersect the collection.
-	f := func(seed uint64) bool {
-		in := randomInstance(seed, 8)
-		sets := in.Collect()
-		used := map[int]bool{}
-		for _, s := range sets {
-			for _, v := range s.Members {
-				used[v] = true
-			}
+// coversAllDenseSets checks Lemma 24's condition (ii) on
+// randomInstance(seed, 8): every dense odd set must intersect the
+// collection.
+func coversAllDenseSets(t *testing.T, seed uint64) bool {
+	in := randomInstance(seed, 8)
+	sets := in.Collect()
+	used := map[int]bool{}
+	for _, s := range sets {
+		for _, v := range s.Members {
+			used[v] = true
 		}
-		// Enumerate all odd sets up to MaxNorm and check.
-		g := graph.New(in.N)
-		ok := true
-		g.EnumerateOddSets(in.MaxNorm, func(set []int) bool {
-			if !in.IsDense(set) {
+	}
+	// Enumerate all odd sets up to MaxNorm and check.
+	g := graph.New(in.N)
+	ok := true
+	g.EnumerateOddSets(in.MaxNorm, func(set []int) bool {
+		if !in.IsDense(set) {
+			return true
+		}
+		for _, v := range set {
+			if used[v] {
 				return true
 			}
-			hit := false
-			for _, v := range set {
-				if used[v] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				ok = false
-				return false
-			}
-			return true
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		}
+		t.Logf("seed %#x: dense odd set %v misses the collection %v", seed, set, sets)
+		ok = false
+		return false
+	})
+	return ok
+}
+
+func TestCollectExactCoversAllDenseSets(t *testing.T) {
+	f := func(seed uint64) bool { return coversAllDenseSets(t, seed) }
+	cfg := &quick.Config{MaxCount: 40, Rand: xrand.Std(1)}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollectCoversDenseSetThroughIsolatedVertex pins a seed on which
+// vertex 0 has no edge but a small budget, so {0, 6, 7} is dense on the
+// strength of the heavy edge 6–7 alone. Collect used to enumerate the
+// support only and missed it.
+func TestCollectCoversDenseSetThroughIsolatedVertex(t *testing.T) {
+	const seed = 0x7c36215ff18b2d20
+	if !randomInstance(seed, 8).IsDense([]int{0, 6, 7}) {
+		t.Fatal("the pinned instance no longer has the dense set {0, 6, 7}")
+	}
+	if !coversAllDenseSets(t, seed) {
+		t.Fatal("a dense odd set misses the collection")
 	}
 }
 

@@ -5,7 +5,8 @@ package match_test
 // solves, and pool-served solves. CI runs these with -benchtime=1x as
 // an allocation smoke — a regression that re-introduces per-solve
 // rebuild cost shows up as an allocs/op jump here before it shows up in
-// E17.
+// E17. BenchmarkSolveColdGNM256 is the repo benchmark's cold-solve op,
+// here so `make bench-profile` can profile it.
 
 import (
 	"context"
@@ -30,6 +31,25 @@ func BenchmarkSolveCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		solver, err := match.New(benchOpts()...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := solver.Solve(ctx, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveColdGNM256 repeats perfbench's cold-solve op: a fresh
+// Solver per op on GNM n=256, m=12,000 with uniform weights up to 100,
+// at ε=0.25, p=2 and one worker per GOMAXPROCS.
+func BenchmarkSolveColdGNM256(b *testing.B) {
+	g := graph.GNM(256, 12000, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 100}, 1)
+	src := stream.NewEdgeStream(g)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		solver, err := match.New(match.WithEps(0.25), match.WithSpaceExponent(2), match.WithWorkers(0))
 		if err != nil {
 			b.Fatal(err)
 		}
