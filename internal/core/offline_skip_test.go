@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -48,39 +46,10 @@ func (a countSkips) Round(ctx context.Context, run *engine.Run) (bool, error) {
 // after the first one, and returns how many rounds it skipped.
 func driveBoth(t *testing.T, label string, g *graph.Graph, opt Options) int {
 	t.Helper()
-	drive := func(wrap func(*DualPrimal) engine.Algorithm) (*engine.Outcome, *DualPrimal) {
-		a, err := New(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := engine.Drive(context.Background(), wrap(a), stream.NewEdgeStream(g), engine.Extensions{})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		return out, a
-	}
 	skipped := 0
-	got, a := drive(func(a *DualPrimal) engine.Algorithm { return countSkips{a, &skipped} })
-	want, _ := drive(func(a *DualPrimal) engine.Algorithm { return solveEveryRound{a} })
-	for _, f := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"Weight", got.Weight, want.Weight},
-		{"Lambda", got.Lambda, want.Lambda},
-		{"DualObjective", got.DualObjective, want.DualObjective},
-	} {
-		if math.Float64bits(f.got) != math.Float64bits(f.want) {
-			t.Errorf("%s: %s = %v with the skip, %v solving every round", label, f.name, f.got, f.want)
-		}
-	}
-	if !reflect.DeepEqual(got.Matching.EdgeIdx, want.Matching.EdgeIdx) || !reflect.DeepEqual(got.Matching.Mult, want.Matching.Mult) {
-		t.Errorf("%s: matching differs\nskip:  %v %v\nevery: %v %v", label,
-			got.Matching.EdgeIdx, got.Matching.Mult, want.Matching.EdgeIdx, want.Matching.Mult)
-	}
-	if !reflect.DeepEqual(got.Stats, want.Stats) {
-		t.Errorf("%s: stats differ\nskip:  %+v\nevery: %+v", label, got.Stats, want.Stats)
-	}
+	got, a := driveWrapped(t, label, stream.NewEdgeStream(g), opt, func(a *DualPrimal) engine.Algorithm { return countSkips{a, &skipped} })
+	want, _ := driveWrapped(t, label, stream.NewEdgeStream(g), opt, func(a *DualPrimal) engine.Algorithm { return solveEveryRound{a} })
+	requireSameOutcome(t, label, got, want)
 	full := 0
 	for _, size := range got.Stats.UnionSizes {
 		if size == a.keptEdges {
@@ -111,19 +80,22 @@ func TestOfflineSkipBitIdenticalOnCorpus(t *testing.T) {
 }
 
 func TestOfflineSkipBitIdenticalPartialUnions(t *testing.T) {
-	// One forest per sparsifier and χ = 1.5: the sampled union misses
-	// edges, so the skip must stay off until it covers every kept edge.
-	prof := Practical(0.25)
-	prof.SparsifierK, prof.ChiOverride = 1, 1.5
+	// One forest per sparsifier and χ = 1.5 or 1.2: the sampled union
+	// misses edges, so the skip must stay off until it covers every kept
+	// edge, and again on every later round whose union is partial.
 	weights := graph.WeightConfig{Mode: graph.UniformWeights, WMax: 100}
 	for _, c := range []struct {
 		label   string
 		n, m    int
+		chi     float64
 		skipped int
 	}{
-		{"gnm-128-1500 (partial in rounds 1-2)", 128, 1500, 22},
-		{"gnm-256-12000 (partial every round)", 256, 12000, 0},
+		{"gnm-128-1500 (partial in rounds 1-2)", 128, 1500, 1.5, 22},
+		{"gnm-256-12000 (partial every round)", 256, 12000, 1.5, 0},
+		{"gnm-64-400 (full from round 5, partial again in round 7)", 64, 400, 1.2, 10},
 	} {
+		prof := Practical(0.25)
+		prof.SparsifierK, prof.ChiOverride = 1, c.chi
 		g := graph.GNM(c.n, c.m, weights, 1)
 		opt := Options{Eps: 0.25, P: 2, Seed: 7, Workers: 4, Profile: &prof}
 		if skipped := driveBoth(t, c.label, g, opt); skipped != c.skipped {

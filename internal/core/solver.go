@@ -56,6 +56,7 @@ const solveChunkEdges = 1 << 12
 type chunkEdge struct {
 	u, v  int32
 	k     int32 // weight level
+	cl    int32 // sparsify.Class(sigma) when sigma > 0, filled per chunk
 	orig  int   // index in the source stream
 	local int   // index within the level's own sequence
 	w     float64
@@ -118,6 +119,10 @@ type DualPrimal struct {
 	liveLevels []int
 	levelCount []int // arena-backed
 	keptEdges  int   // Σ levelCount: the edges any round can sample
+	// maxDegree is the largest kept-edge degree of any vertex, or 0 when
+	// a kept edge is a self-loop; the sparsifier constructions skip
+	// their forests when it is below K (sparsify.Config.MaxDegree).
+	maxDegree int
 
 	// The (use, level) job grid of one sampling round, fixed across
 	// rounds: job (q, slot) owns the deferred construction for use q at
@@ -306,16 +311,33 @@ func (a *DualPrimal) Init(_ context.Context, run *engine.Run, src stream.Source)
 	// Pass: level census — how many edges live at each weight level. The
 	// populated levels define the per-level streams of the initial
 	// solution and the (use, level) sparsifier grid; the counts fix each
-	// construction's subsampling depth.
+	// construction's subsampling depth. The same pass counts each
+	// vertex's kept degree (n central words, held only for the pass):
+	// every sparsifier construction's input is a subset of the kept
+	// edges, so the largest degree bounds all of them.
 	a.levelCount = run.Arena().Ints(a.nl)
+	degree := run.Arena().Ints(a.n)
+	run.Acct.Alloc(a.n)
+	selfLoop := false
 	stream.ForEachBlocks(src, func(_ int, edges []graph.Edge) bool {
 		for i := range edges {
-			if k, ok := scheme.Level(edges[i].W); ok {
+			e := &edges[i]
+			if k, ok := scheme.Level(e.W); ok {
 				a.levelCount[k]++
+				degree[e.U]++
+				degree[e.V]++
+				selfLoop = selfLoop || e.U == e.V
 			}
 		}
 		return true
 	})
+	a.maxDegree = 0
+	if !selfLoop {
+		for _, d := range degree {
+			a.maxDegree = max(a.maxDegree, d)
+		}
+	}
+	run.Acct.Free(a.n)
 	a.liveLevels = a.liveLevels[:0]
 	a.keptEdges = 0
 	for k, cnt := range a.levelCount {
@@ -491,10 +513,11 @@ func (a *DualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	for q := 0; q < a.tUses; q++ {
 		for slot, k := range a.liveLevels {
 			b, berr := sparsify.NewDeferredBuilder(a.n, a.levelCount[k], a.gammaChi, sparsify.Config{
-				Xi:      a.prof.SparsifierXi,
-				K:       a.prof.SparsifierK,
-				Seed:    a.rng.Split(uint64(round*1000 + q*100 + k)).Uint64(),
-				Scratch: a.ufScratch,
+				Xi:        a.prof.SparsifierXi,
+				K:         a.prof.SparsifierK,
+				Seed:      a.rng.Split(uint64(round*1000 + q*100 + k)).Uint64(),
+				Scratch:   a.ufScratch,
+				MaxDegree: a.maxDegree,
 			})
 			if berr != nil {
 				return false, berr
@@ -511,6 +534,9 @@ func (a *DualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 				ce := &buf[i]
 				r := state.CoverageRatio(ce.u, ce.v, int(ce.k))
 				ce.sigma = math.Exp(-alpha*(r-a.lambda)) / wHat(int(ce.k))
+				if ce.sigma > 0 {
+					ce.cl = int32(sparsify.Class(ce.sigma))
+				}
 			}
 		})
 		for slot := range a.bySlot {
@@ -525,7 +551,7 @@ func (a *DualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 			b := a.batches[job.q][job.slot]
 			for _, i := range a.bySlot[job.slot] {
 				ce := &buf[i]
-				b.Add(ce.local, ce.u, ce.v, ce.w, ce.orig, ce.sigma)
+				b.Add(ce.local, ce.u, ce.v, ce.w, ce.orig, ce.sigma, int(ce.cl))
 			}
 		})
 	}
@@ -583,29 +609,21 @@ func (a *DualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 	}
 
 	// Offline solve on the union of sampled edges (Algorithm 2 step
-	// 5); raise β on improvement (step 6). The stored Items carry
-	// endpoints and original weights, so the union subgraph is built
-	// from the samples alone — no lookback into the source. The union
-	// and subgraph are retained scratch, rebuilt in place each round:
-	// sorted by source index and deduplicated (every copy of an index
-	// carries the same source edge, so which one survives is moot).
-	a.union = a.union[:0]
-	for q := range a.defs {
-		for _, d := range a.defs[q] {
-			for _, it := range d.Items() {
-				a.union = append(a.union, unionEdge{it.Orig, graph.Edge{U: it.U, V: it.V, W: it.W}})
-			}
+	// 5); raise β on improvement (step 6). A union holding every kept
+	// edge repeats a set an earlier round of this run already solved;
+	// solving it again cannot change anything (see solveUnion), so only
+	// the first such round solves. Once that round has run, a round
+	// whose union is known to be full without building it records the
+	// size and moves on.
+	if a.fullSolved && a.someUseFull() {
+		a.stats.UnionSizes = append(a.stats.UnionSizes, a.keptEdges)
+	} else {
+		a.buildUnion()
+		a.stats.UnionSizes = append(a.stats.UnionSizes, len(a.union))
+		if full := len(a.union) == a.keptEdges; !full || !a.fullSolved {
+			a.fullSolved = a.fullSolved || full
+			a.solveUnion(round)
 		}
-	}
-	a.union, a.unionTmp = sortByOrig(a.union, a.unionTmp)
-	a.union = slices.CompactFunc(a.union, func(x, y unionEdge) bool { return x.orig == y.orig })
-	a.stats.UnionSizes = append(a.stats.UnionSizes, len(a.union))
-	// A union holding every kept edge repeats a set an earlier round of
-	// this run already solved; solving it again cannot change anything
-	// (see solveUnion), so only the first such round solves.
-	if full := len(a.union) == a.keptEdges; !full || !a.fullSolved {
-		a.fullSolved = a.fullSolved || full
-		a.solveUnion(round)
 	}
 
 	// Sequential refinement and use of the t sparsifiers (the right
@@ -639,6 +657,41 @@ func (a *DualPrimal) Round(_ context.Context, run *engine.Run) (bool, error) {
 		return false, err
 	}
 	return false, nil
+}
+
+// someUseFull reports whether one use's sparsifiers sampled every kept
+// edge. Within a use the (level, class) constructions partition the
+// kept edges and store each at most once, so a use whose items number
+// keptEdges holds all of them, and the round's union is the full set.
+func (a *DualPrimal) someUseFull() bool {
+	for _, row := range a.defs {
+		items := 0
+		for _, d := range row {
+			items += d.Size()
+		}
+		if items == a.keptEdges {
+			return true
+		}
+	}
+	return false
+}
+
+// buildUnion rebuilds the round's sampled union in place. The stored
+// Items carry endpoints and original weights, so the union is built
+// from the samples alone — no lookback into the source. It is sorted
+// by source index and deduplicated (every copy of an index carries the
+// same source edge, so which one survives is moot).
+func (a *DualPrimal) buildUnion() {
+	a.union = a.union[:0]
+	for q := range a.defs {
+		for _, d := range a.defs[q] {
+			for _, it := range d.Items() {
+				a.union = append(a.union, unionEdge{it.Orig, graph.Edge{U: it.U, V: it.V, W: it.W}})
+			}
+		}
+	}
+	a.union, a.unionTmp = sortByOrig(a.union, a.unionTmp)
+	a.union = slices.CompactFunc(a.union, func(x, y unionEdge) bool { return x.orig == y.orig })
 }
 
 // solveUnion runs the offline solve on the round's sampled union

@@ -2,6 +2,7 @@ package sparsify
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,26 +12,55 @@ import (
 
 // builderCycleAllocs bounds one NewDeferredBuilder → Add×m → Finish →
 // Release cycle on a warm Scratch (GNM n=64 m=600, promises over five
-// classes). The map-keyed builder measured 103 allocations here; what
-// remains is per-construction set-up (hash, level closure) and the
-// builder and Deferred headers. A pool that stops recycling the side
-// data, class list, dedup flags or item buffers pushes it back up.
+// classes, K = 16 after the χ² boost, degree about 19 on average and
+// 30 at most, so the forests are built). The map-keyed builder
+// measured 103 allocations here; what remains is per-construction
+// set-up (hash, level closure) and the builder and Deferred headers. A
+// pool that stops recycling the side data, class list, dedup flags or
+// item buffers pushes it back up.
 const builderCycleAllocs = 24
 
+// keepAllCycleAllocs bounds the same cycle when MaxDegree is below K
+// (K = 32 after the boost): no construction builds forests or a level
+// hash, so only the builder and Deferred headers remain.
+const keepAllCycleAllocs = 2
+
 func TestDeferredBuilderCycleAllocs(t *testing.T) {
+	checkBuilderCycleAllocs(t, Config{Xi: 0.5, K: 4, Seed: 9}, builderCycleAllocs)
+}
+
+func TestDeferredBuilderKeepAllCycleAllocs(t *testing.T) {
+	checkBuilderCycleAllocs(t, Config{Xi: 0.5, K: 8, Seed: 9}, keepAllCycleAllocs)
+}
+
+// checkBuilderCycleAllocs runs warm builder cycles under cfg, with
+// MaxDegree set to the instance's largest degree, and requires that
+// they build forests exactly when that degree reaches K, match a cold
+// build, and allocate at most bound times each.
+func checkBuilderCycleAllocs(t *testing.T, cfg Config, bound int) {
+	t.Helper()
+	const chi = 2
 	g := graph.GNM(64, 600, graph.WeightConfig{Mode: graph.UniformWeights, WMax: 30}, 3)
 	r := xrand.New(5)
 	sigma := make([]float64, g.M())
 	for i := range sigma {
 		sigma[i] = r.Float64() * 16
 	}
+	degree := make([]int, g.N())
+	for _, e := range g.Edges() {
+		degree[e.U]++
+		degree[e.V]++
+	}
+	cfg.MaxDegree = slices.Max(degree)
+	keepAll := deferredConfig(g.N(), chi, cfg).keepsAll()
 	build := func(scr *Scratch) *Deferred {
-		b, err := NewDeferredBuilder(g.N(), g.M(), 2, Config{Xi: 0.5, K: 4, Seed: 9, Scratch: scr})
+		cfg.Scratch = scr
+		b, err := NewDeferredBuilder(g.N(), g.M(), chi, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, e := range g.Edges() {
-			b.Add(i, e.U, e.V, e.W, i, sigma[i])
+			b.Add(i, e.U, e.V, e.W, i, sigma[i], classOf(sigma[i]))
 		}
 		return b.Finish()
 	}
@@ -43,10 +73,13 @@ func TestDeferredBuilderCycleAllocs(t *testing.T) {
 		}
 		d.Release()
 	}
+	if built := scr.Retained() > 0; built == keepAll {
+		t.Fatalf("largest degree %d: forests built = %v with keepAll = %v", cfg.MaxDegree, built, keepAll)
+	}
 	got := testing.AllocsPerRun(20, func() { build(scr).Release() })
-	t.Logf("allocs per warm cycle: %v", got)
-	if got > builderCycleAllocs {
-		t.Fatalf("warm builder cycle allocates %v times, want <= %d", got, builderCycleAllocs)
+	t.Logf("largest degree %d, keepAll %v: allocs per warm cycle: %v", cfg.MaxDegree, keepAll, got)
+	if got > float64(bound) {
+		t.Fatalf("warm builder cycle allocates %v times, want <= %d", got, bound)
 	}
 }
 

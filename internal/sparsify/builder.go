@@ -3,7 +3,6 @@ package sparsify
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -66,10 +65,17 @@ func NewDeferredBuilder(n, m int, chi float64, cfg Config) (*DeferredBuilder, er
 		chi: chi,
 		cfg: deferredConfig(n, chi, cfg),
 	}
+	// A builder that keeps all edges stores every one with a positive
+	// promise, so its side data is sized for m up front.
+	stored := 0
+	if b.cfg.keepsAll() {
+		stored = m
+	}
 	if s := b.scratch(); s != nil {
 		b.classes = s.classes.get(nil)[:0]
-		b.info = s.infos.get(nil)[:0]
+		b.info = s.infos.get(func(info []builderEdge) bool { return cap(info) >= stored })[:0]
 	}
+	b.info = slices.Grow(b.info, stored)
 	return b, nil
 }
 
@@ -86,13 +92,14 @@ func (b *DeferredBuilder) scratch() *Scratch {
 // position in the builder's own sequence (0..m-1, strictly increasing
 // across calls — it drives the subsampling hash); orig is its index in
 // the original stream and w its original weight, both retained only for
-// stored edges. Edges with non-positive sigma are dropped, matching
-// bucketByClass.
-func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sigma float64) {
+// stored edges. cl must be Class(sigma): callers feeding one edge to
+// several builders compute it once. Edges with non-positive sigma are
+// dropped (cl is then ignored), matching bucketByClass.
+func (b *DeferredBuilder) Add(localIdx int, u, v int32, w float64, orig int, sigma float64, cl int) {
 	if !(sigma > 0) {
 		return
 	}
-	c := b.class(int(math.Floor(math.Log2(sigma))))
+	c := b.class(cl)
 	if c.process(localIdx, len(b.info), u, v) {
 		b.info = append(b.info, builderEdge{u: u, v: v, local: localIdx, w: w, orig: orig, sigma: sigma})
 	}
@@ -129,7 +136,7 @@ func (b *DeferredBuilder) Finish() *Deferred {
 	// class, so one flag per slot dedups the levels of every class.
 	var seen []bool
 	if scr != nil {
-		d.items = scr.items.get(nil)[:0]
+		d.items = scr.getItems(len(b.info))
 		seen = scr.flags.get(nil)
 	}
 	seen = resizeZeroed(seen, len(b.info))

@@ -2,6 +2,7 @@ package sparsify
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -47,7 +48,7 @@ func TestBuilderMatchesNewDeferred(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, e := range g.Edges() {
-				b.Add(i, e.U, e.V, e.W, i, sigma[i])
+				b.Add(i, e.U, e.V, e.W, i, sigma[i], classOf(sigma[i]))
 			}
 			got := b.Finish()
 			if got.Size() != want.Size() {
@@ -83,6 +84,114 @@ func TestBuilderMatchesNewDeferred(t *testing.T) {
 	}
 }
 
+// streamEdge is one (u, v, ς) arrival of a builder test stream.
+type streamEdge struct {
+	u, v  int32
+	sigma float64
+}
+
+// buildStream feeds edges to a fresh builder with χ = 1, so K is used
+// unboosted, and returns the sealed structure.
+func buildStream(t *testing.T, n int, edges []streamEdge, k, maxDegree int, scr *Scratch) *Deferred {
+	t.Helper()
+	b, err := NewDeferredBuilder(n, len(edges), 1, Config{K: k, Seed: 13, MaxDegree: maxDegree, Scratch: scr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range edges {
+		b.Add(i, e.u, e.v, float64(i+1), i, e.sigma, Class(e.sigma))
+	}
+	return b.Finish()
+}
+
+// keptBelowOne reports whether some item was kept with probability
+// below 1: some construction opened its K-th forest.
+func keptBelowOne(d *Deferred) bool {
+	for _, it := range d.Items() {
+		if it.Prob < 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// A builder told the largest degree must emit exactly what one that
+// builds every forest emits: with the forests skipped when the bound is
+// below K, and with them built when it is not.
+func TestBuilderMaxDegreeMatchesForests(t *testing.T) {
+	// A multigraph on 12 vertices with parallel edges and promises over
+	// six classes.
+	const n, m = 12, 300
+	r := xrand.New(41)
+	edges := make([]streamEdge, m)
+	degree := make([]int, n)
+	for i := range edges {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n-1))
+		if v >= u {
+			v++
+		}
+		edges[i] = streamEdge{u, v, 0.5 + 30*r.Float64()}
+		degree[u]++
+		degree[v]++
+	}
+	maxDeg := slices.Max(degree)
+	for _, c := range []struct {
+		label  string
+		k      int
+		skip   bool
+		reachK bool
+	}{
+		{"max degree K-1", maxDeg + 1, true, false},
+		{"max degree K", maxDeg, false, false},
+		{"K = 4", 4, false, true},
+	} {
+		want := buildStream(t, n, edges, c.k, 0, nil)
+		scr := NewScratch(n)
+		got := buildStream(t, n, edges, c.k, maxDeg, scr)
+		if !reflect.DeepEqual(got.Items(), want.Items()) {
+			t.Errorf("%s: items differ from the forest build", c.label)
+		}
+		if skipped := scr.Retained() == 0; skipped != c.skip {
+			t.Errorf("%s: forests skipped = %v, want %v", c.label, skipped, c.skip)
+		}
+		if reached := keptBelowOne(want); reached != c.reachK {
+			t.Errorf("%s: K reached = %v, want %v", c.label, reached, c.reachK)
+		}
+		// The array-fed construction honours the bound the same way.
+		sigma := make([]float64, m)
+		for i, e := range edges {
+			sigma[i] = e.sigma
+		}
+		endpoints := func(i int) (int32, int32) { return edges[i].u, edges[i].v }
+		plain, err := NewDeferred(n, endpoints, m, sigma, 1, Config{K: c.k, Seed: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounded, err := NewDeferred(n, endpoints, m, sigma, 1, Config{K: c.k, Seed: 13, MaxDegree: maxDeg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bounded.Items(), plain.Items()) {
+			t.Errorf("%s: NewDeferred items differ with the bound", c.label)
+		}
+	}
+
+	// K parallel edges on one pair open the K-th forest at degree
+	// exactly K, so a bound of K must not skip the forests.
+	const k = 5
+	bundle := make([]streamEdge, k)
+	for i := range bundle {
+		bundle[i] = streamEdge{0, 1, 3}
+	}
+	want := buildStream(t, 2, bundle, k, 0, nil)
+	if !keptBelowOne(want) {
+		t.Fatal("the bundle did not open its K-th forest")
+	}
+	if got := buildStream(t, 2, bundle, k, k, nil); !reflect.DeepEqual(got.Items(), want.Items()) {
+		t.Errorf("bundle of K parallel edges: items %+v, forest build %+v", got.Items(), want.Items())
+	}
+}
+
 func TestBuilderRejectsBadArgs(t *testing.T) {
 	if _, err := NewDeferredBuilder(10, 5, 0.5, Config{}); err == nil {
 		t.Fatal("chi < 1 accepted")
@@ -102,7 +211,7 @@ func TestBuilderStaleRevealUsesPromise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range g.Edges() {
-		b.Add(i, e.U, e.V, e.W, i, 1.5)
+		b.Add(i, e.U, e.V, e.W, i, 1.5, Class(1.5))
 	}
 	d := b.Finish()
 	sp := d.RefineWith(1, func(it Item) float64 { return it.Weight })
@@ -111,4 +220,13 @@ func TestBuilderStaleRevealUsesPromise(t *testing.T) {
 			t.Fatalf("stale refine weight %v * prob %v != promise 1.5", it.Weight, it.Prob)
 		}
 	}
+}
+
+// classOf is Class for the promise values the tests feed Add, which
+// include zeros (dropped by Add, so their class is never read).
+func classOf(sigma float64) int {
+	if !(sigma > 0) {
+		return 0
+	}
+	return Class(sigma)
 }

@@ -202,9 +202,8 @@ func (d *Deferred) RefineWith(workers int, reveal func(it Item) float64) *Sparsi
 	})
 	var items []Item
 	if d.scr != nil {
-		items = d.scr.items.get(nil)[:0]
-	}
-	if items == nil {
+		items = d.scr.getItems(len(d.items))
+	} else {
 		items = make([]Item, 0, len(d.items))
 	}
 	for i, it := range d.items {

@@ -105,6 +105,15 @@ func (s *Scratch) getF64s(n int) []float64 {
 	return make([]float64, n)
 }
 
+// getItems returns an empty Item buffer with room for n items: the most
+// recently retired one that fits, or a fresh one.
+func (s *Scratch) getItems(n int) []Item {
+	if b := s.items.get(func(b []Item) bool { return cap(b) >= n }); b != nil {
+		return b[:0]
+	}
+	return make([]Item, 0, n)
+}
+
 // freeList is one typed pool of the Scratch: retired values (shells,
 // forests, slice backings) wait here until a getter hands them out
 // again. Slice getters truncate what they receive; a nil result means

@@ -49,7 +49,16 @@ type Config struct {
 	// Reset forest equals a fresh one, so results are unchanged; only
 	// allocation traffic is.
 	Scratch *Scratch
+	// MaxDegree, when positive, promises that no vertex has MaxDegree or
+	// more incident edges in any construction's input, counting parallel
+	// edges and with no self-loops (0 = unknown). Below K it lets every
+	// construction skip its forests: see construction.process.
+	MaxDegree int
 }
+
+// keepsAll reports whether MaxDegree rules out every construction's
+// K-th forest: see construction.process.
+func (c Config) keepsAll() bool { return c.MaxDegree > 0 && c.MaxDegree < c.K }
 
 func (c Config) withDefaults(n int) Config {
 	if c.Xi <= 0 {
@@ -122,9 +131,9 @@ func newConstruction(n, m int, cfg Config) *construction {
 	for v := 1; v < m; v <<= 1 {
 		numLv++
 	}
-	h := xrand.NewPolyHash(xrand.New(cfg.Seed), 2)
 	// A retired shell supplies the spines and the stored rows' capacity;
-	// the hash is always rebuilt from the seed, so a pooled construction
+	// the hash is always rebuilt from the seed (a construction that keeps
+	// all edges draws no level and needs none), so a pooled construction
 	// computes exactly what a fresh one does.
 	var c *construction
 	if s := cfg.Scratch; s != nil && s.n == n {
@@ -136,9 +145,11 @@ func newConstruction(n, m int, cfg Config) *construction {
 	c.cfg = cfg
 	c.n = n
 	c.numLv = numLv
-	c.hash = h
 	c.ufs = respine(c.ufs, numLv)
 	c.stored = respine(c.stored, numLv)
+	if !cfg.keepsAll() {
+		c.hash = xrand.NewPolyHash(xrand.New(cfg.Seed), 2)
+	}
 	// Forests are allocated lazily: forest j at level i exists only once
 	// some edge was rejected by forests 0..j-1 there. An unallocated
 	// forest is semantically a discrete forest (nothing connected), which
@@ -155,8 +166,13 @@ func respine[T any](rows [][]T, n int) [][]T {
 	return rows[:n]
 }
 
-// levelOf is the geometric subsampling level of an edge.
+// levelOf is the geometric subsampling level of an edge. A construction
+// that keeps all edges draws none: every critical level is 0, which any
+// level reaches.
 func (c *construction) levelOf(edgeIdx int) int {
+	if c.cfg.keepsAll() {
+		return 0
+	}
 	return c.hash.Level(uint64(edgeIdx)+1, c.numLv-1)
 }
 
@@ -166,7 +182,23 @@ func (c *construction) levelOf(edgeIdx int) int {
 // builds, the side-data position for the streaming builder. Reports
 // whether the edge was stored at any level, so streaming callers can
 // retain side data for stored edges only.
+//
+// When every vertex has fewer than K incident edges (keepsAll), the
+// forests cannot matter and are skipped. An edge enters forest j only
+// if its endpoints are already joined in forests 0..j-1, and the
+// forests are edge-disjoint, so each endpoint of an edge that opens the
+// K-th forest has K-1 earlier edges. With no vertex of degree K, every
+// edge lands in one of the first K-1 forests of level 0, in arrival
+// order, and criticalLevel finds fewer than K forests there and returns
+// 0 for each edge. Storing the slot at level 0 alone therefore makes
+// finish emit the same items in the same order with the same
+// probabilities. A self-loop is joined in every forest, so its degree
+// bounds nothing; MaxDegree excludes them.
 func (c *construction) process(edgeIdx, slot int, u, v int32) bool {
+	if c.cfg.keepsAll() {
+		c.stored[0] = append(c.stored[0], slot)
+		return true
+	}
 	lv := c.levelOf(edgeIdx)
 	storedAny := false
 	for i := 0; i <= lv && i < c.numLv; i++ {
@@ -341,6 +373,10 @@ func Weighted(g *graph.Graph, cfg Config) *Sparsifier {
 	return &Sparsifier{N: g.N(), Items: items}
 }
 
+// Class is the powers-of-two class ⌊log₂ w⌋ of a positive weight or
+// promise value: the constructions split their input by it.
+func Class(w float64) int { return int(math.Floor(math.Log2(w))) }
+
 func withClassSeed(cfg Config, class int) Config {
 	cfg.Seed = xrand.Mix64(cfg.Seed ^ (uint64(class)+1)*0x9e3779b97f4a7c15)
 	return cfg
@@ -369,7 +405,7 @@ func bucketByClass(m int, weightOf func(int) float64, workers int) []classGroup 
 			if w <= 0 {
 				continue
 			}
-			cl := int(math.Floor(math.Log2(w)))
+			cl := Class(w)
 			local[cl] = append(local[cl], i)
 		}
 		return local
